@@ -16,9 +16,7 @@ from .credal import (
     RiskInterval,
     Verdict,
     decide_adaptation,
-    membership_upper_confidence,
     risk_interval,
-    worst_case_risk,
 )
 from .errors import (
     DegenerateBandwidthError,
@@ -31,7 +29,6 @@ from .errors import (
 from .geometry import (
     ClassDistortionSummary,
     DistortionReport,
-    expected_feature_distance,
     geodesic_distortion,
     rare_class_report,
 )
@@ -51,7 +48,6 @@ from .kernels import (
     KernelSpec,
     gram_matrix,
     median_heuristic,
-    rbf_kernel,
 )
 from .mmd import (
     CalibrationResult,
@@ -82,11 +78,9 @@ from .pac_bayes import (
     complexity_term,
     finite_sample_bound,
     kl_diag_gaussians,
-    pac_lower_bound,
-    population_bound,
 )
 from .pipeline import SourceState, certificate_body, prepare_source
-from .rkhs_norm import NormEstimate, estimate_rkhs_norm, posterior_average_norm
+from .rkhs_norm import NormEstimate, estimate_rkhs_norm
 from .simulate import (
     CheckRow,
     ConcentrationExperiment,
@@ -144,7 +138,6 @@ __all__ = [
     "estimate_rkhs_norm",
     "expansion_norm",
     "expansion_value",
-    "expected_feature_distance",
     "file_digest",
     "finite_sample_bound",
     "format_report",
@@ -155,18 +148,13 @@ __all__ = [
     "load_config",
     "load_experiment",
     "median_heuristic",
-    "membership_upper_confidence",
     "mmd2_biased",
     "mmd2_unbiased",
     "mmd_upper_confidence",
-    "pac_lower_bound",
     "parse_feature_rows",
     "permutation_calibrate",
-    "population_bound",
-    "posterior_average_norm",
     "prepare_source",
     "rare_class_report",
-    "rbf_kernel",
     "read_features",
     "read_labels",
     "read_losses",
@@ -174,5 +162,4 @@ __all__ = [
     "risk_interval",
     "sample_scenario",
     "true_target_risk",
-    "worst_case_risk",
 ]

@@ -12,13 +12,13 @@ Exit codes: 0 success, 1 input or parse errors, 2 numerical errors,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import deque
 from pathlib import Path
 
 import numpy as np
 
+from ._version import __version__
 from .errors import InputError, NumericalError
 from .geometry import geodesic_distortion, rare_class_report
 from .io import (
@@ -111,27 +111,16 @@ def _gamma_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected 'median' or a number, got {text!r}")
 
 
-def _resolve_threads(args) -> int:
-    value = getattr(args, "threads", None)
-    if value is None:
-        raw = os.environ.get("CREDAL_CERT_THREADS")
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InputError(
-                f"CREDAL_CERT_THREADS must be an integer, got {raw!r}"
-            ) from None
-    if value < 1:
-        raise InputError("threads must be >= 1")
-    return value
-
-
 def _resolve_kernel(gamma, *samples) -> KernelSpec:
     if gamma == "median":
         return median_heuristic(*samples)
     return KernelSpec(gamma=gamma, source=KernelSource.FIXED)
+
+
+def _stamp(record: dict, digests: dict) -> None:
+    """Append the input digests, then tool_version, as the closing fields."""
+    record.update(digests)
+    record["tool_version"] = __version__
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -148,20 +137,16 @@ def _cmd_certify(args) -> int:
     Xt = read_features(args.target_features)
     state = prepare_source(cfg, Xs, losses, target_for_bandwidth=Xt)
     seed = cfg.seed if cfg.seed is not None else args.seed
-    cert = certificate_body(
-        state,
-        Xt,
-        cfg,
-        seed=seed,
-        threads=_resolve_threads(args),
-        clamp_risk=args.clamp_risk,
+    cert = certificate_body(state, Xt, cfg, seed=seed, clamp_risk=args.clamp_risk)
+    _stamp(
+        cert,
+        {
+            "source_features_sha256": file_digest(args.source_features),
+            "source_losses_sha256": file_digest(args.source_losses),
+            "target_features_sha256": file_digest(args.target_features),
+            "config_sha256": file_digest(args.config),
+        },
     )
-    version = cert.pop("tool_version")
-    cert["source_features_sha256"] = file_digest(args.source_features)
-    cert["source_losses_sha256"] = file_digest(args.source_losses)
-    cert["target_features_sha256"] = file_digest(args.target_features)
-    cert["config_sha256"] = file_digest(args.config)
-    cert["tool_version"] = version
     _emit(certificate_text(cert), args.out)
     return 0
 
@@ -195,7 +180,6 @@ def _cmd_monitor(args) -> int:
     losses = read_losses(args.source_losses)
     state = prepare_source(cfg, Xs, losses)
     seed = cfg.seed if cfg.seed is not None else args.seed
-    threads = _resolve_threads(args)
     digests = {
         "source_features_sha256": file_digest(args.source_features),
         "source_losses_sha256": file_digest(args.source_losses),
@@ -237,19 +221,17 @@ def _cmd_monitor(args) -> int:
                         1, np.uint64
                     )[0]
                 )
-                body = certificate_body(
-                    state,
-                    pooled,
-                    cfg,
-                    seed=batch_seed,
-                    threads=threads,
-                    clamp_risk=args.clamp_risk,
-                )
-                version = body.pop("tool_version")
                 record: dict = {"batch_seq": batch_seq}
-                record.update(body)
-                record.update(digests)
-                record["tool_version"] = version
+                record.update(
+                    certificate_body(
+                        state,
+                        pooled,
+                        cfg,
+                        seed=batch_seed,
+                        clamp_risk=args.clamp_risk,
+                    )
+                )
+                _stamp(record, digests)
             except (InputError, NumericalError) as exc:
                 record = {"batch_seq": batch_seq, "error": str(exc)}
             out.write(record_text(record))
@@ -280,7 +262,6 @@ def _cmd_calibrate(args) -> int:
         num_permutations=args.num_permutations,
         alpha=args.alpha,
         seed=args.seed,
-        threads=_resolve_threads(args),
     )
     est = mmd2_unbiased(Xs, Xt, spec)
     payload = {
@@ -380,16 +361,6 @@ def _build_parser() -> _Parser:
         default=0,
         help="base RNG seed (default 0; a config 'seed' key takes precedence)",
     )
-    threaded = _Parser(add_help=False)
-    threaded.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=None,
-        help=(
-            "worker threads for permutation calibration "
-            "(default: CREDAL_CERT_THREADS or 1)"
-        ),
-    )
     clamped = _Parser(add_help=False)
     clamped.add_argument(
         "--clamp-risk",
@@ -404,7 +375,7 @@ def _build_parser() -> _Parser:
 
     certify = sub.add_parser(
         "certify",
-        parents=[common, seeded, threaded, clamped],
+        parents=[common, seeded, clamped],
         help="emit a shift-risk certificate for one target sample",
         epilog=_CERTIFY_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -417,7 +388,7 @@ def _build_parser() -> _Parser:
 
     monitor = sub.add_parser(
         "monitor",
-        parents=[common, seeded, threaded, clamped],
+        parents=[common, seeded, clamped],
         help="emit NDJSON certificates over a '---'-delimited batch stream",
         epilog=_MONITOR_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -453,7 +424,7 @@ def _build_parser() -> _Parser:
 
     calibrate = sub.add_parser(
         "calibrate",
-        parents=[common, seeded, threaded],
+        parents=[common, seeded],
         help="permutation-calibrate a shift radius for two samples",
     )
     calibrate.add_argument("source_features", help="CSV of source feature rows")

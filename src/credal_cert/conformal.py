@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, SingularityError
+from .errors import SingularityError
 from .validation import (
     check_count,
+    check_finite,
     check_nonnegative,
     check_probability,
 )
@@ -31,10 +32,9 @@ class CoveragePolicy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha0", check_probability(self.alpha0, "alpha0"))
-        emp = float(self.emp_risk)
-        if not math.isfinite(emp):
-            raise InputError(f"emp_risk: must be finite, got {emp!r}")
-        object.__setattr__(self, "emp_risk", emp)
+        object.__setattr__(
+            self, "emp_risk", check_finite(self.emp_risk, "emp_risk")
+        )
         object.__setattr__(self, "kl", check_nonnegative(self.kl, "kl"))
         object.__setattr__(
             self, "n_labeled", check_count(self.n_labeled, "n_labeled")
@@ -42,41 +42,29 @@ class CoveragePolicy:
         object.__setattr__(self, "l_h", check_nonnegative(self.l_h, "l_h"))
 
 
-def coverage_increment(
-    policy: CoveragePolicy, epsilon: float, mode: str = "ratio"
-) -> float:
-    """Miscoverage increment g(epsilon) in [0, 1 - alpha0].
+def coverage_increment(policy: CoveragePolicy, epsilon: float) -> float:
+    """Miscoverage increment g(epsilon) in [0, 1 - alpha0]:
 
-    mode="ratio" (the primary form):
         min{ 1 - alpha0,
              (emp_risk + l_h * eps / sqrt(kl / (2 n_labeled))) / (1 + l_h * eps) }
-        clamped below at 0. Requires kl > 0; kl = 0 makes the scale factor
-        divide by zero and raises SingularityError rather than inventing a
-        limit.
 
-    mode="linear" (documented shift-only variant):
-        min{ 1 - alpha0, l_h * eps }.
+    clamped below at 0. Requires kl > 0; kl = 0 makes the scale factor
+    divide by zero and raises SingularityError rather than inventing a
+    limit.
     """
     epsilon = check_nonnegative(epsilon, "epsilon")
-    cap = 1.0 - policy.alpha0
-    if mode == "ratio":
-        if policy.kl <= 0.0:
-            raise SingularityError(
-                "coverage increment is undefined at kl = 0 "
-                "(the scale factor divides by sqrt(kl / 2n))"
-            )
-        scale = math.sqrt(policy.kl / (2.0 * policy.n_labeled))
-        inner = (policy.emp_risk + policy.l_h * epsilon / scale) / (
-            1.0 + policy.l_h * epsilon
+    if policy.kl <= 0.0:
+        raise SingularityError(
+            "coverage increment is undefined at kl = 0 "
+            "(the scale factor divides by sqrt(kl / 2n))"
         )
-        return max(0.0, min(cap, inner))
-    if mode == "linear":
-        return max(0.0, min(cap, policy.l_h * epsilon))
-    raise InputError(f"unknown coverage mode {mode!r}; use 'ratio' or 'linear'")
+    scale = math.sqrt(policy.kl / (2.0 * policy.n_labeled))
+    inner = (policy.emp_risk + policy.l_h * epsilon / scale) / (
+        1.0 + policy.l_h * epsilon
+    )
+    return max(0.0, min(1.0 - policy.alpha0, inner))
 
 
-def adaptive_alpha(
-    policy: CoveragePolicy, epsilon: float, mode: str = "ratio"
-) -> float:
+def adaptive_alpha(policy: CoveragePolicy, epsilon: float) -> float:
     """Adaptive miscoverage level alpha0 + g(epsilon), capped at 1."""
-    return min(1.0, policy.alpha0 + coverage_increment(policy, epsilon, mode))
+    return min(1.0, policy.alpha0 + coverage_increment(policy, epsilon))

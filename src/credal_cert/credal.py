@@ -8,20 +8,16 @@ expression so the identity holds bitwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InputError
-from .kernels import KernelSpec
-from .mmd import mmd2_unbiased, mmd_upper_confidence
 from .pac_bayes import (
     BoundKind,
     BoundReport,
     PosteriorComplexity,
     complexity_term,
 )
-from .validation import check_nonnegative
+from .validation import check_finite, check_nonnegative
 
 
 class RadiusSource(str, Enum):
@@ -70,26 +66,6 @@ class AdaptationDecision:
     interval: RiskInterval
 
 
-def worst_case_risk(
-    emp_risk: float,
-    c: PosteriorComplexity,
-    l_h: float,
-    spec: CredalSpec,
-) -> float:
-    """Upper risk over every distribution in the epsilon-ball.
-
-    emp_risk + complexity_term(c) + l_h * epsilon; depends on the ball only
-    through its radius.
-    """
-    emp = float(emp_risk)
-    if not math.isfinite(emp):
-        raise InputError(f"emp_risk: must be finite, got {emp!r}")
-    l_h = check_nonnegative(l_h, "l_h")
-    ct = complexity_term(c)
-    sp = l_h * spec.epsilon
-    return emp + ct + sp
-
-
 def risk_interval(
     emp_risk: float,
     c: PosteriorComplexity,
@@ -101,9 +77,7 @@ def risk_interval(
     upper = emp + complexity + l_h * epsilon, lower mirrors it downward, and
     width = 2 * complexity + 2 * l_h * epsilon by construction.
     """
-    emp = float(emp_risk)
-    if not math.isfinite(emp):
-        raise InputError(f"emp_risk: must be finite, got {emp!r}")
+    emp = check_finite(emp_risk, "emp_risk")
     l_h = check_nonnegative(l_h, "l_h")
     ct = complexity_term(c)
     sp = l_h * spec.epsilon
@@ -126,24 +100,6 @@ def risk_interval(
     )
 
 
-def membership_upper_confidence(
-    Xq,
-    Xs,
-    k: KernelSpec,
-    spec: CredalSpec,
-    alpha: float,
-) -> bool:
-    """Conservative membership test for a candidate sample Xq.
-
-    True certifies, at confidence 1 - alpha, that the distribution behind
-    Xq lies within the epsilon-ball around the source: the upper confidence
-    limit of the estimated MMD is at most epsilon. False certifies nothing
-    (the test is one-sided).
-    """
-    est = mmd2_unbiased(Xs, Xq, k)
-    return mmd_upper_confidence(est, alpha) <= spec.epsilon
-
-
 def decide_adaptation(interval: RiskInterval, r_max: float) -> AdaptationDecision:
     """Adaptation verdict from the risk interval against a risk tolerance.
 
@@ -151,9 +107,7 @@ def decide_adaptation(interval: RiskInterval, r_max: float) -> AdaptationDecisio
     exactly). lower > r_max: AdaptationFutile (tolerance unreachable within
     the ball). Otherwise the interval straddles r_max: AdaptationWarranted.
     """
-    r_max = float(r_max)
-    if not math.isfinite(r_max):
-        raise InputError(f"r_max: must be finite, got {r_max!r}")
+    r_max = check_finite(r_max, "r_max")
     if interval.upper <= r_max:
         verdict = Verdict.NO_ADAPTATION_NEEDED
     elif interval.lower > r_max:

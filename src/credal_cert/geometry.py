@@ -37,17 +37,6 @@ class ClassDistortionSummary:
     max_distortion: float
 
 
-def expected_feature_distance(anchor, X) -> float:
-    """Mean Euclidean distance from the anchor to the rows of X."""
-    a = as_vector(anchor, "anchor")
-    Xa = as_features(X, "X")
-    if Xa.shape[1] != a.shape[0]:
-        raise InputError(
-            f"anchor dimension {a.shape[0]} does not match X dimension {Xa.shape[1]}"
-        )
-    return float(np.mean(np.linalg.norm(Xa - a, axis=1)))
-
-
 def _anchor_distances(anchors: np.ndarray, X: np.ndarray) -> np.ndarray:
     # (n_anchors, n_rows) Euclidean distances
     diffs = anchors[:, None, :] - X[None, :, :]

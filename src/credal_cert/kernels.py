@@ -8,14 +8,13 @@ can never produce a negative distance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateBandwidthError, InputError
-from .validation import as_features, as_vector, check_positive, check_same_dim
+from .validation import as_features, check_positive, check_same_dim
 
 
 class KernelSource(str, Enum):
@@ -47,33 +46,8 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return d2
 
 
-def rbf_kernel(x, y, spec: KernelSpec) -> float:
-    """Evaluate exp(-gamma * ||x - y||^2) for a single pair of vectors.
-
-    Parameters
-    ----------
-    x, y : array-like, shape (d,)
-        Feature vectors of equal dimension.
-    spec : KernelSpec
-        Bandwidth to use.
-
-    Returns
-    -------
-    float
-        Kernel value in (0, 1]; exactly 1.0 when x equals y.
-    """
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    if xv.shape[0] != yv.shape[0]:
-        raise InputError(
-            f"x and y disagree on dimension: {xv.shape[0]} vs {yv.shape[0]}"
-        )
-    sq = float(np.dot(xv, xv)) + float(np.dot(yv, yv)) - 2.0 * float(np.dot(xv, yv))
-    return math.exp(-spec.gamma * max(sq, 0.0))
-
-
 def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
-    """Kernel matrix with entry (i, j) = rbf_kernel(X[i], Y[j], spec).
+    """Kernel matrix with entry (i, j) = exp(-gamma * ||X[i] - Y[j]||^2).
 
     Parameters
     ----------

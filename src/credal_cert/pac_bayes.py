@@ -20,6 +20,7 @@ from .mmd import MmdEstimate, MmdKind, concentration_width
 from .validation import (
     as_vector,
     check_count,
+    check_finite,
     check_nonnegative,
     check_probability,
 )
@@ -69,13 +70,6 @@ class BoundReport:
     kind: BoundKind
 
 
-def _check_risk(value: float, name: str = "emp_risk") -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise InputError(f"{name}: must be finite, got {value!r}")
-    return value
-
-
 def kl_diag_gaussians(mu_p, var_p, mu_q, var_q) -> float:
     """KL divergence KL(P || Q) between diagonal Gaussians.
 
@@ -104,48 +98,6 @@ def complexity_term(c: PosteriorComplexity) -> float:
     return math.sqrt((c.kl + math.log(2.0 * math.sqrt(n) / c.delta)) / (2.0 * n))
 
 
-def pac_lower_bound(emp_risk: float, c: PosteriorComplexity) -> float:
-    """Lower risk emp_risk - complexity_term(c), same log-factor convention."""
-    emp = _check_risk(emp_risk)
-    return emp - complexity_term(c)
-
-
-def population_bound(
-    emp_risk: float,
-    c: PosteriorComplexity,
-    l_h: float,
-    mmd: float,
-) -> BoundReport:
-    """Shift-penalized bound against the population MMD.
-
-    upper = emp_risk + complexity_term(c) + l_h * mmd. With mmd = 0 this is
-    exactly the classical complexity-only bound.
-
-    Parameters
-    ----------
-    emp_risk : float
-        Empirical source risk.
-    c : PosteriorComplexity
-    l_h : float, >= 0
-        RKHS norm of the expected-loss function.
-    mmd : float, >= 0
-        Population (or trusted) MMD between source and target.
-    """
-    emp = _check_risk(emp_risk)
-    l_h = check_nonnegative(l_h, "l_h")
-    mmd = check_nonnegative(mmd, "mmd")
-    ct = complexity_term(c)
-    sp = l_h * mmd
-    return BoundReport(
-        empirical_risk=emp,
-        complexity_term=ct,
-        shift_penalty=sp,
-        upper_risk=emp + ct + sp,
-        lower_risk=(emp - ct) - sp,
-        kind=BoundKind.POPULATION,
-    )
-
-
 def finite_sample_bound(
     emp_risk: float,
     c: PosteriorComplexity,
@@ -160,7 +112,7 @@ def finite_sample_bound(
     Requires delta in (0, 1/2) and an unbiased estimate; the labeled count
     n = c.n_labeled is independent of the MMD sample counts est.m, est.n.
     """
-    emp = _check_risk(emp_risk)
+    emp = check_finite(emp_risk, "emp_risk")
     l_h = check_nonnegative(l_h, "l_h")
     if est.kind is not MmdKind.UNBIASED:
         raise InputError("finite-sample bound requires an unbiased MMD estimate")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._version import __version__
 from .conformal import CoveragePolicy, coverage_increment
 from .credal import CredalSpec, RadiusSource, decide_adaptation, risk_interval
 from .errors import InputError
@@ -90,10 +89,12 @@ def certificate_body(
     target_features,
     cfg: CertifyConfig,
     seed: int,
-    threads: int = 1,
     clamp_risk: bool = False,
 ) -> dict:
-    """Assemble the full certificate record for one target sample."""
+    """Assemble the certificate record for one target sample.
+
+    The CLI appends the input digests and tool_version after these fields.
+    """
     Xt = as_features(target_features, "target features")
     est = mmd2_unbiased(state.features, Xt, state.kernel)
     mmd_width = concentration_width(est.m, est.n, cfg.delta / 2.0)
@@ -107,7 +108,6 @@ def certificate_body(
             num_permutations=cfg.num_permutations,
             alpha=cfg.alpha,
             seed=seed,
-            threads=threads,
         )
         epsilon = calibration.epsilon_alpha
         radius_source = RadiusSource.PERMUTATION_CALIBRATED
@@ -195,5 +195,4 @@ def certificate_body(
             "interval_upper",
         ):
             cert[key] = min(1.0, max(0.0, cert[key]))
-    cert["tool_version"] = __version__
     return cert

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -92,10 +91,3 @@ def estimate_rkhs_norm(
         n_fit=n,
         residual_rms=math.sqrt(float(np.mean(residual**2))),
     )
-
-
-def posterior_average_norm(estimates: Sequence[NormEstimate]) -> float:
-    """Mean l_h over per-posterior-sample estimates (one fit per sample)."""
-    if not estimates:
-        raise InputError("posterior_average_norm: empty estimate list")
-    return float(np.mean([e.l_h for e in estimates]))

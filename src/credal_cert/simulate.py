@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .credal import CredalSpec, risk_interval
 from .errors import InputError
 from .geometry import geodesic_distortion
 from .io import _load_json_object  # shared strict JSON-object loader
@@ -27,7 +28,7 @@ from .oracles import (
     sample_scenario,
     true_target_risk,
 )
-from .pac_bayes import PosteriorComplexity, population_bound
+from .pac_bayes import PosteriorComplexity
 from .validation import check_count, check_probability
 
 
@@ -157,7 +158,7 @@ class CoverageExperiment:
             self.mc_samples,
             int(risk_seed.generate_state(1, np.uint64)[0]),
         )
-        mmd = math.sqrt(analytic_mmd2(self.scenario))
+        ball = CredalSpec(epsilon=math.sqrt(analytic_mmd2(self.scenario)))
         complexity = PosteriorComplexity(
             kl=0.0, n_labeled=self.n_labeled, delta=self.delta
         )
@@ -166,8 +167,7 @@ class CoverageExperiment:
             scenario = self.scenario.with_seed(s)
             Xs, _ = sample_scenario(scenario, self.n_labeled, 1)
             emp = float(np.mean(expansion_value(expansion, Xs, kernel)))
-            report = population_bound(emp, complexity, l_h, mmd)
-            if report.upper_risk >= true_risk:
+            if risk_interval(emp, complexity, l_h, ball).upper >= true_risk:
                 covered += 1
         rate = covered / self.trials
         return [

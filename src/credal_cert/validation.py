@@ -47,6 +47,13 @@ def check_probability(value: float, name: str, *, open_upper: float = 1.0) -> fl
     return value
 
 
+def check_finite(value: float, name: str) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise InputError(f"{name}: must be finite, got {value!r}")
+    return value
+
+
 def check_nonnegative(value: float, name: str) -> float:
     value = float(value)
     if not np.isfinite(value) or value < 0.0:

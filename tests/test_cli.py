@@ -196,7 +196,6 @@ def test_bad_flags_exit_one(capsys):
     assert main(["transmogrify"]) == 1
     assert main([]) == 1
     assert main(["certify"]) == 1
-    assert main(["certify", SOURCE, LOSSES, TARGET, CONFIG, "--threads", "0"]) == 1
 
 
 def test_monitor_matches_golden_fixture(tmp_path):
@@ -409,7 +408,7 @@ def test_calibrate_cli_matches_library(capsys):
         [
             "calibrate", SOURCE, TARGET,
             "--gamma", "0.25", "--num-permutations", "150",
-            "--alpha", "0.1", "--seed", "5", "--threads", "2",
+            "--alpha", "0.1", "--seed", "5",
         ]
     ) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -417,7 +416,7 @@ def test_calibrate_cli_matches_library(capsys):
     Xt = read_features(TARGET)
     spec = KernelSpec(gamma=0.25)
     result = permutation_calibrate(
-        Xs, Xt, spec, num_permutations=150, alpha=0.1, seed=5, threads=2
+        Xs, Xt, spec, num_permutations=150, alpha=0.1, seed=5
     )
     assert payload["epsilon_alpha"] == result.epsilon_alpha
     assert payload["p_value"] == result.p_value

@@ -50,17 +50,6 @@ def test_zero_kl_is_a_singularity():
         coverage_increment(policy, 0.1)
 
 
-def test_linear_mode():
-    policy = CoveragePolicy(alpha0=0.1, emp_risk=0.5, kl=0.0, n_labeled=100, l_h=2.0)
-    assert coverage_increment(policy, 0.2, mode="linear") == 0.4
-    assert coverage_increment(policy, 3.0, mode="linear") == 0.9
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(InputError):
-        coverage_increment(POLICY, 0.1, mode="affine")
-
-
 def test_increment_nondecreasing_on_radius_grid():
     grid = np.linspace(0.0, 1.0, 101)
     values = [coverage_increment(POLICY, float(e)) for e in grid]

@@ -1,10 +1,9 @@
-"""Credal-ball risk intervals, adaptation decisions, and membership."""
+"""Credal-ball risk intervals and adaptation decisions."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,15 +11,11 @@ from credal_cert import (
     BoundKind,
     CredalSpec,
     InputError,
-    KernelSpec,
     PosteriorComplexity,
     RadiusSource,
     Verdict,
     decide_adaptation,
-    membership_upper_confidence,
-    population_bound,
     risk_interval,
-    worst_case_risk,
 )
 from conftest import within_ulps
 
@@ -45,7 +40,8 @@ def draws(draw):
 
 
 def test_worst_case_frozen_value():
-    assert worst_case_risk(0.1, C_FROZEN, 2.0, CredalSpec(epsilon=0.1)) == WORST_CASE
+    iv = risk_interval(0.1, C_FROZEN, 2.0, CredalSpec(epsilon=0.1))
+    assert iv.upper == WORST_CASE
 
 
 def test_interval_frozen_example():
@@ -85,15 +81,16 @@ def test_interval_endpoints_match_component_bound(data):
     assert iv.lower == iv.components.lower_risk
     assert iv.upper == iv.components.upper_risk
     assert iv.lower <= iv.upper
-    assert iv.upper == worst_case_risk(emp, c, l_h, spec)
 
 
 @given(st.data())
 def test_worst_case_dominates_population_bound_inside_ball(data):
+    # the upper risk is monotone in the radius: a ball's worst case covers
+    # the population bound at any MMD inside it
     emp, c, l_h, spec = draws(data.draw)
     mmd = data.draw(st.floats(0.0, 1.0)) * spec.epsilon
-    pop = population_bound(emp, c, l_h, mmd)
-    assert worst_case_risk(emp, c, l_h, spec) >= pop.upper_risk
+    inside = risk_interval(emp, c, l_h, CredalSpec(epsilon=mmd))
+    assert risk_interval(emp, c, l_h, spec).upper >= inside.upper
 
 
 def test_decision_boundary_conventions():
@@ -118,22 +115,6 @@ def test_decision_rejects_non_finite_threshold():
     iv = risk_interval(0.2, C_FROZEN, 1.0, CredalSpec(epsilon=0.1))
     with pytest.raises(InputError):
         decide_adaptation(iv, float("nan"))
-
-
-def test_membership_accepts_same_distribution():
-    rng = np.random.default_rng(12)
-    Xs = rng.standard_normal((80, 2))
-    Xq = rng.standard_normal((80, 2))
-    k = KernelSpec(gamma=0.5)
-    assert membership_upper_confidence(Xq, Xs, k, CredalSpec(epsilon=1.0), 0.1)
-
-
-def test_membership_rejects_far_shift():
-    rng = np.random.default_rng(13)
-    Xs = rng.standard_normal((80, 2))
-    Xq = np.array([4.0, 0.0]) + rng.standard_normal((80, 2))
-    k = KernelSpec(gamma=0.5)
-    assert not membership_upper_confidence(Xq, Xs, k, CredalSpec(epsilon=0.05), 0.1)
 
 
 def test_spec_validation():

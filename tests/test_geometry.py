@@ -10,7 +10,6 @@ import pytest
 from credal_cert import (
     InputError,
     KernelSpec,
-    expected_feature_distance,
     geodesic_distortion,
     mmd2_unbiased,
     rare_class_report,
@@ -22,16 +21,24 @@ K1 = KernelSpec(gamma=1.0)
 
 
 def test_expected_feature_distance_frozen_value():
-    assert expected_feature_distance([0.0], [[3.0], [4.0]]) == 3.5
+    # gamma 1/2 makes the scale sqrt(2 gamma) exactly 1, and a target at the
+    # anchor contributes distance 0, so lhs is the mean source distance
+    report = geodesic_distortion(
+        [0.0], [[3.0], [4.0]], [[0.0], [0.0]], KernelSpec(gamma=0.5)
+    )
+    assert report.lhs_estimate == 3.5
 
 
 def test_expected_feature_distance_zero_at_anchor():
-    assert expected_feature_distance([1.0, 2.0], [[1.0, 2.0], [1.0, 2.0]]) == 0.0
+    at_anchor = [[1.0, 2.0], [1.0, 2.0]]
+    report = geodesic_distortion([1.0, 2.0], at_anchor, at_anchor, K1)
+    assert report.lhs_estimate == 0.0
+    assert report.epsilon_bar == 0.0
 
 
 def test_expected_feature_distance_dimension_mismatch():
     with pytest.raises(InputError):
-        expected_feature_distance([0.0, 1.0], [[3.0]])
+        geodesic_distortion([0.0, 1.0], [[3.0], [4.0]], [[3.0], [4.0]], K1)
 
 
 def test_distortion_frozen_example():

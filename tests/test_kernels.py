@@ -1,4 +1,4 @@
-"""RBF kernel and Gram matrix properties."""
+"""Gram matrix and bandwidth properties of the RBF kernel."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from credal_cert import (
     KernelSpec,
     gram_matrix,
     median_heuristic,
-    rbf_kernel,
 )
 
 # frozen closed-form values
@@ -37,17 +36,20 @@ def _sample(draw, max_rows=12, max_cols=4, min_rows=1):
 
 
 def test_unit_distance_unit_gamma():
-    assert rbf_kernel([0.0], [1.0], KernelSpec(gamma=1.0)) == EXP_NEG_ONE
+    G = gram_matrix([[0.0]], [[1.0]], KernelSpec(gamma=1.0))
+    assert G.shape == (1, 1)
+    assert G[0, 0] == EXP_NEG_ONE
 
 
 def test_two_dims_gamma_eighth():
     # squared distance 2, gamma 1/8: exponent is exactly -0.25
-    value = rbf_kernel([0.0, 0.0], [1.0, 1.0], KernelSpec(gamma=0.125))
-    assert value == EXP_NEG_QUARTER
+    G = gram_matrix([[0.0, 0.0]], [[1.0, 1.0]], KernelSpec(gamma=0.125))
+    assert G[0, 0] == EXP_NEG_QUARTER
 
 
 def test_coincident_points_give_one():
-    assert rbf_kernel([0.7, -1.1], [0.7, -1.1], KernelSpec(gamma=2.0)) == 1.0
+    G = gram_matrix([[0.7, -1.1]], [[0.7, -1.1]], KernelSpec(gamma=2.0))
+    assert G[0, 0] == 1.0
 
 
 @given(st.data())
@@ -159,4 +161,4 @@ def test_gram_rejects_non_finite_entries():
 
 def test_rbf_kernel_rejects_mismatched_vectors():
     with pytest.raises(InputError):
-        rbf_kernel([0.0], [0.0, 1.0], KernelSpec(gamma=1.0))
+        gram_matrix([[0.0]], [[0.0, 1.0]], KernelSpec(gamma=1.0))

@@ -1,4 +1,8 @@
-"""Risk bounds: complexity term, population and finite-sample variants."""
+"""Risk bounds: complexity term, population and finite-sample variants.
+
+The population bound is the component report of risk_interval at a radius
+epsilon equal to the (trusted) MMD.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from credal_cert import (
     BoundKind,
+    CredalSpec,
     InputError,
     MmdEstimate,
     MmdKind,
@@ -17,8 +22,7 @@ from credal_cert import (
     concentration_width,
     finite_sample_bound,
     kl_diag_gaussians,
-    pac_lower_bound,
-    population_bound,
+    risk_interval,
 )
 
 CT_0_100_05 = 0.17308183826022852
@@ -50,9 +54,13 @@ def test_complexity_term_frozen_values():
     assert complexity_term(PosteriorComplexity(10.0, 100, 0.05)) == CT_10_100_05
 
 
+def population_report(emp, c, l_h, mmd):
+    return risk_interval(emp, c, l_h, CredalSpec(epsilon=mmd)).components
+
+
 def test_population_bound_frozen_example():
     c = PosteriorComplexity(kl=0.0, n_labeled=100, delta=0.05)
-    report = population_bound(0.1, c, 2.0, 0.05)
+    report = population_report(0.1, c, 2.0, 0.05)
     assert report.upper_risk == POP_UPPER
     assert report.lower_risk == POP_LOWER
     assert report.shift_penalty == 0.1
@@ -60,14 +68,15 @@ def test_population_bound_frozen_example():
 
 
 def test_pac_lower_bound_frozen_value():
+    # at zero radius the lower end is the complexity-only bound emp - ct
     c = PosteriorComplexity(kl=0.0, n_labeled=100, delta=0.05)
-    assert pac_lower_bound(0.5, c) == PAC_LOWER_HALF
+    assert population_report(0.5, c, 1.0, 0.0).lower_risk == PAC_LOWER_HALF
 
 
 @given(st.data())
 def test_population_identity_is_exact(data):
     emp, c, l_h, mmd = draws(data.draw)
-    r = population_bound(emp, c, l_h, mmd)
+    r = population_report(emp, c, l_h, mmd)
     assert r.upper_risk == (emp + r.complexity_term) + r.shift_penalty
     assert r.lower_risk == (emp - r.complexity_term) - r.shift_penalty
     assert r.lower_risk <= r.upper_risk
@@ -77,27 +86,27 @@ def test_population_identity_is_exact(data):
 @given(st.data())
 def test_upper_risk_monotone(data):
     emp, c, l_h, mmd = draws(data.draw)
-    base = population_bound(emp, c, l_h, mmd).upper_risk
+    base = population_report(emp, c, l_h, mmd).upper_risk
     bigger_kl = PosteriorComplexity(c.kl + 1.0, c.n_labeled, c.delta)
-    assert population_bound(emp, bigger_kl, l_h, mmd).upper_risk >= base
+    assert population_report(emp, bigger_kl, l_h, mmd).upper_risk >= base
     smaller_delta = PosteriorComplexity(c.kl, c.n_labeled, c.delta / 2.0)
-    assert population_bound(emp, smaller_delta, l_h, mmd).upper_risk >= base
-    assert population_bound(emp, c, l_h + 0.5, mmd).upper_risk >= base
-    assert population_bound(emp, c, l_h, mmd + 0.25).upper_risk >= base
-    assert population_bound(emp + 0.1, c, l_h, mmd).upper_risk >= base
+    assert population_report(emp, smaller_delta, l_h, mmd).upper_risk >= base
+    assert population_report(emp, c, l_h + 0.5, mmd).upper_risk >= base
+    assert population_report(emp, c, l_h, mmd + 0.25).upper_risk >= base
+    assert population_report(emp + 0.1, c, l_h, mmd).upper_risk >= base
 
 
 def test_zero_shift_recovers_complexity_only_bound():
     c = PosteriorComplexity(kl=1.0, n_labeled=50, delta=0.1)
-    report = population_bound(0.3, c, 5.0, 0.0)
+    report = population_report(0.3, c, 5.0, 0.0)
     assert report.shift_penalty == 0.0
     assert report.upper_risk == 0.3 + complexity_term(c)
-    assert report.lower_risk == pac_lower_bound(0.3, c)
+    assert report.lower_risk == 0.3 - complexity_term(c)
 
 
 def test_zero_norm_ignores_shift():
     c = PosteriorComplexity(kl=1.0, n_labeled=50, delta=0.1)
-    assert population_bound(0.3, c, 0.0, 1.5).shift_penalty == 0.0
+    assert population_report(0.3, c, 0.0, 1.5).shift_penalty == 0.0
 
 
 def test_finite_sample_bound_frozen_example():
@@ -127,7 +136,7 @@ def test_finite_sample_bound_dominates_population_at_same_mmd():
     c = PosteriorComplexity(kl=2.0, n_labeled=150, delta=0.1)
     est = MmdEstimate(mmd2=0.04, mmd=0.2, kind=MmdKind.UNBIASED, m=100, n=100)
     fs = finite_sample_bound(0.2, c, 1.5, est)
-    pop = population_bound(0.2, c, 1.5, 0.2)
+    pop = population_report(0.2, c, 1.5, 0.2)
     assert fs.upper_risk > pop.upper_risk
 
 
@@ -135,7 +144,7 @@ def test_finite_sample_bound_requires_small_delta():
     c = PosteriorComplexity(kl=0.0, n_labeled=100, delta=0.6)
     est = MmdEstimate(mmd2=0.0, mmd=0.0, kind=MmdKind.UNBIASED, m=10, n=10)
     # population form accepts delta in (0, 1)
-    assert population_bound(0.1, c, 1.0, 0.0).upper_risk > 0.0
+    assert population_report(0.1, c, 1.0, 0.0).upper_risk > 0.0
     with pytest.raises(InputError):
         finite_sample_bound(0.1, c, 1.0, est)
 
@@ -157,11 +166,11 @@ def test_complexity_inputs_validated():
     with pytest.raises(InputError):
         PosteriorComplexity(kl=0.0, n_labeled=100, delta=1.0)
     with pytest.raises(InputError):
-        population_bound(float("nan"), PosteriorComplexity(0.0, 10, 0.1), 1.0, 0.0)
+        population_report(float("nan"), PosteriorComplexity(0.0, 10, 0.1), 1.0, 0.0)
     with pytest.raises(InputError):
-        population_bound(0.1, PosteriorComplexity(0.0, 10, 0.1), -1.0, 0.0)
+        population_report(0.1, PosteriorComplexity(0.0, 10, 0.1), -1.0, 0.0)
     with pytest.raises(InputError):
-        population_bound(0.1, PosteriorComplexity(0.0, 10, 0.1), 1.0, -0.5)
+        population_report(0.1, PosteriorComplexity(0.0, 10, 0.1), 1.0, -0.5)
 
 
 def test_kl_frozen_values():

@@ -13,7 +13,6 @@ from credal_cert import (
     estimate_rkhs_norm,
     expansion_norm,
     expansion_value,
-    posterior_average_norm,
 )
 
 K = KernelSpec(gamma=0.5)
@@ -100,28 +99,3 @@ def test_validation():
         estimate_rkhs_norm([[0.0]], [0.5], K, ridge_lambda=0.0)
     with pytest.raises(InputError):
         estimate_rkhs_norm([[0.0]], [0.5], K, ridge_lambda=-1e-6)
-
-
-def test_posterior_average_norm_is_mean():
-    rng = np.random.default_rng(6)
-    X = rng.standard_normal((15, 2))
-    estimates = [
-        estimate_rkhs_norm(X, rng.uniform(0.0, 1.0, 15), K) for _ in range(4)
-    ]
-    avg = posterior_average_norm(estimates)
-    assert avg == pytest.approx(np.mean([e.l_h for e in estimates]), rel=1e-15)
-    with pytest.raises(InputError):
-        posterior_average_norm([])
-
-
-def test_perturbed_estimates_average_within_envelope():
-    rng = np.random.default_rng(7)
-    X = rng.standard_normal((25, 2))
-    base = np.clip(0.5 + 0.3 * np.sin(X[:, 0]), 0.0, 1.0)
-    estimates = [
-        estimate_rkhs_norm(X, base + 0.01 * rng.standard_normal(25), K)
-        for _ in range(20)
-    ]
-    norms = [e.l_h for e in estimates]
-    avg = posterior_average_norm(estimates)
-    assert min(norms) <= avg <= max(norms)
