@@ -2,9 +2,9 @@
 
 Writes deterministic input files (features, losses, config, monitor stream,
 anchors), then runs the installed CLI on them and freezes its byte output as
-expected_certificate.json and expected_monitor.ndjson. The determinism tests
-compare live CLI bytes against these files, so regenerate only when an output
-change is intended, and commit the result.
+expected_certificate.json, expected_monitor.ndjson and expected_geometry.json.
+The determinism tests compare live CLI bytes against these files, so
+regenerate only when an output change is intended, and commit the result.
 """
 
 from __future__ import annotations
@@ -117,6 +117,14 @@ def run_cli(cfg: FixtureConfig) -> None:
         "--out", str(data / "expected_monitor.ndjson"),
     ]
     subprocess.run(monitor, check=True, cwd=REPO_ROOT)
+    geometry = base + [
+        "geometry",
+        str(data / "source_features.csv"),
+        str(data / "target_features.csv"),
+        "--anchors", str(data / "anchors.csv"),
+        "--out", str(data / "expected_geometry.json"),
+    ]
+    subprocess.run(geometry, check=True, cwd=REPO_ROOT)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,6 +33,7 @@ ANCHORS = str(DATA_DIR / "anchors.csv")
 LABELS = str(DATA_DIR / "labels.csv")
 GOLDEN_CERT = DATA_DIR / "expected_certificate.json"
 GOLDEN_MONITOR = DATA_DIR / "expected_monitor.ndjson"
+GOLDEN_GEOMETRY = DATA_DIR / "expected_geometry.json"
 
 
 def certify_args(out=None):
@@ -451,6 +452,14 @@ def test_geometry_cli_without_labels_lists_anchors(capsys):
     assert [r["anchor_index"] for r in reports] == [0, 1, 2, 3]
     for r in reports:
         assert r["slack"] == r["rhs_bound"] - r["lhs_estimate"]
+
+
+def test_geometry_matches_golden_fixture(tmp_path):
+    out = tmp_path / "geometry.json"
+    assert main(
+        ["geometry", SOURCE, TARGET, "--anchors", ANCHORS, "--out", str(out)]
+    ) == 0
+    assert out.read_bytes() == GOLDEN_GEOMETRY.read_bytes()
 
 
 def test_geometry_cli_label_mismatch_exits_one(tmp_path, capsys):
