@@ -329,12 +329,7 @@ def _cmd_geometry(args) -> int:
                 "slack": r.slack,
                 "epsilon_bar": r.epsilon_bar,
             }
-            for r in (
-                geodesic_distortion(
-                    anchors[i], Xs, Xt, spec, c_w=args.c_w, anchor_index=i
-                )
-                for i in range(anchors.shape[0])
-            )
+            for r in geodesic_distortion(anchors, Xs, Xt, spec, c_w=args.c_w)
         ]
     _emit(certificate_text(payload), args.out)
     return 0

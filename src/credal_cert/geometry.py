@@ -5,6 +5,9 @@ linearizes locally to sqrt(2 gamma) * |E_s||f - y|| - E_t||f - y|||, which
 the shift bounds by sqrt(2 gamma) * C_W * MMD up to a remainder quadratic
 in the local radius eps_bar. The report carries both sides, the slack, and
 eps_bar so callers can apply their own remainder tolerance.
+
+The bound side does not depend on the anchor, so the MMD is computed once
+per call and shared by every anchor.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .kernels import KernelSpec
 from .mmd import mmd2_unbiased
-from .validation import as_features, as_vector, check_nonnegative, check_same_dim
+from .validation import as_features, check_nonnegative, check_same_dim
 
 
 @dataclass(frozen=True)
@@ -43,46 +46,55 @@ def _anchor_distances(anchors: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
 
 
+def _validated_samples(anchors_a: np.ndarray, Xs, Xt, c_w: float):
+    Xsa = as_features(Xs, "Xs")
+    Xta = as_features(Xt, "Xt")
+    check_same_dim(Xsa, Xta, "Xs", "Xt")
+    if Xsa.shape[1] != anchors_a.shape[1]:
+        raise InputError(
+            f"anchor dimension {anchors_a.shape[1]} does not match sample "
+            f"dimension {Xsa.shape[1]}"
+        )
+    return Xsa, Xta, check_nonnegative(c_w, "c_w")
+
+
 def geodesic_distortion(
-    anchor,
+    anchors,
     Xs,
     Xt,
     k: KernelSpec,
     c_w: float = 1.0,
-    anchor_index: int = 0,
-) -> DistortionReport:
-    """Distortion diagnostic at one anchor.
+) -> list[DistortionReport]:
+    """Distortion diagnostic at each anchor row, in row order.
 
+    anchors has shape (n_anchors, d); report i has anchor_index i.
     lhs_estimate = sqrt(2 gamma) * |mean dist to Xs - mean dist to Xt|,
     rhs_bound = sqrt(2 gamma) * c_w * unbiased MMD (negative squared
     estimates clamp to zero), epsilon_bar = the largest anchor distance
-    among all rows used, slack = rhs - lhs. The linearization is trustworthy
+    among all rows used, slack = rhs - lhs. The MMD is computed once and
+    every anchor shares the same rhs_bound. The linearization is trustworthy
     only when epsilon_bar is small; it is reported, not enforced.
     """
-    a = as_vector(anchor, "anchor")
-    Xsa = as_features(Xs, "Xs")
-    Xta = as_features(Xt, "Xt")
-    check_same_dim(Xsa, Xta, "Xs", "Xt")
-    if Xsa.shape[1] != a.shape[0]:
-        raise InputError(
-            f"anchor dimension {a.shape[0]} does not match sample dimension "
-            f"{Xsa.shape[1]}"
-        )
-    c_w = check_nonnegative(c_w, "c_w")
+    anchors_a = as_features(anchors, "anchors")
+    Xsa, Xta, c_w = _validated_samples(anchors_a, Xs, Xt, c_w)
     scale = math.sqrt(2.0 * k.gamma)
-    dist_s = np.linalg.norm(Xsa - a, axis=1)
-    dist_t = np.linalg.norm(Xta - a, axis=1)
-    lhs = scale * abs(float(np.mean(dist_s)) - float(np.mean(dist_t)))
-    est = mmd2_unbiased(Xsa, Xta, k)
-    rhs = scale * c_w * est.mmd
-    eps_bar = max(float(np.max(dist_s)), float(np.max(dist_t)))
-    return DistortionReport(
-        anchor_index=int(anchor_index),
-        lhs_estimate=lhs,
-        rhs_bound=rhs,
-        slack=rhs - lhs,
-        epsilon_bar=eps_bar,
-    )
+    rhs = scale * c_w * mmd2_unbiased(Xsa, Xta, k).mmd
+    reports = []
+    for i, a in enumerate(anchors_a):
+        dist_s = np.linalg.norm(Xsa - a, axis=1)
+        dist_t = np.linalg.norm(Xta - a, axis=1)
+        lhs = scale * abs(float(np.mean(dist_s)) - float(np.mean(dist_t)))
+        eps_bar = max(float(np.max(dist_s)), float(np.max(dist_t)))
+        reports.append(
+            DistortionReport(
+                anchor_index=i,
+                lhs_estimate=lhs,
+                rhs_bound=rhs,
+                slack=rhs - lhs,
+                epsilon_bar=eps_bar,
+            )
+        )
+    return reports
 
 
 def rare_class_report(
@@ -106,15 +118,7 @@ def rare_class_report(
             f"labels length {len(label_list)} does not match anchor count "
             f"{anchors_a.shape[0]}"
         )
-    Xsa = as_features(Xs, "Xs")
-    Xta = as_features(Xt, "Xt")
-    check_same_dim(Xsa, Xta, "Xs", "Xt")
-    if Xsa.shape[1] != anchors_a.shape[1]:
-        raise InputError(
-            f"anchor dimension {anchors_a.shape[1]} does not match sample "
-            f"dimension {Xsa.shape[1]}"
-        )
-    check_nonnegative(c_w, "c_w")
+    Xsa, Xta, _ = _validated_samples(anchors_a, Xs, Xt, c_w)
     scale = math.sqrt(2.0 * k.gamma)
     mean_s = np.mean(_anchor_distances(anchors_a, Xsa), axis=1)
     mean_t = np.mean(_anchor_distances(anchors_a, Xta), axis=1)

@@ -74,15 +74,17 @@ def _validated_pair(Xs, Xt, min_count: int) -> tuple[np.ndarray, np.ndarray]:
     return Xsa, Xta
 
 
-def _block_sums(Xs: np.ndarray, Xt: np.ndarray, spec: KernelSpec):
+def _block_sums(Xs: np.ndarray, Xt: np.ndarray, spec: KernelSpec, s_ss=None):
     """Sums of the three Gram blocks (ss, tt, st), full blocks incl. diagonals.
 
-    The cross sum uses math.fsum, which is order-exact, so the result does
-    not depend on which sample was passed first. Identical inputs reuse the
-    self-Gram sum so all three sums are the same float.
+    s_ss, when given, is the source self-Gram sum float(np.sum(gram_matrix(
+    Xs, None, spec))) computed by the caller; the source block is then not
+    built again. The cross sum uses math.fsum, which is order-exact, so the
+    result does not depend on which sample was passed first. Identical
+    inputs reuse the self-Gram sum so all three sums are the same float.
     """
-    k_ss = gram_matrix(Xs, None, spec)
-    s_ss = float(np.sum(k_ss))
+    if s_ss is None:
+        s_ss = float(np.sum(gram_matrix(Xs, None, spec)))
     if Xs.shape == Xt.shape and np.array_equal(Xs, Xt):
         return s_ss, s_ss, s_ss
     k_tt = gram_matrix(Xt, None, spec)
@@ -90,6 +92,23 @@ def _block_sums(Xs: np.ndarray, Xt: np.ndarray, spec: KernelSpec):
     k_st = gram_matrix(Xs, Xt, spec)
     s_st = math.fsum(k_st.ravel().tolist())
     return s_ss, s_tt, s_st
+
+
+def _unbiased_estimate(m: int, n: int, s_ss, s_tt, s_st) -> MmdEstimate:
+    # self-Gram diagonals are exactly 1.0 each, so subtracting the count
+    # removes them
+    value = (
+        (s_ss - m) / (m * (m - 1))
+        + (s_tt - n) / (n * (n - 1))
+        - 2.0 * s_st / (m * n)
+    )
+    return MmdEstimate(
+        mmd2=value,
+        mmd=math.sqrt(max(value, 0.0)),
+        kind=MmdKind.UNBIASED,
+        m=m,
+        n=n,
+    )
 
 
 def mmd2_unbiased(Xs, Xt, spec: KernelSpec) -> MmdEstimate:
@@ -109,21 +128,24 @@ def mmd2_unbiased(Xs, Xt, spec: KernelSpec) -> MmdEstimate:
         Its expectation over resampling equals the population squared MMD.
     """
     Xsa, Xta = _validated_pair(Xs, Xt, min_count=2)
-    m, n = Xsa.shape[0], Xta.shape[0]
-    s_ss, s_tt, s_st = _block_sums(Xsa, Xta, spec)
-    # self-Gram diagonals are exactly 1.0 each, so subtracting the count
-    # removes them
-    value = (
-        (s_ss - m) / (m * (m - 1))
-        + (s_tt - n) / (n * (n - 1))
-        - 2.0 * s_st / (m * n)
+    return _unbiased_estimate(
+        Xsa.shape[0], Xta.shape[0], *_block_sums(Xsa, Xta, spec)
     )
-    return MmdEstimate(
-        mmd2=value,
-        mmd=math.sqrt(max(value, 0.0)),
-        kind=MmdKind.UNBIASED,
-        m=m,
-        n=n,
+
+
+def mmd2_unbiased_from_source_sum(
+    Xs, Xt, spec: KernelSpec, source_sum: float
+) -> MmdEstimate:
+    """mmd2_unbiased with the source self-Gram sum computed by the caller.
+
+    source_sum must be float(np.sum(gram_matrix(Xs, None, spec))); the
+    result is then mmd2_unbiased(Xs, Xt, spec) bit for bit, while only the
+    target self-block and the cross block are built. A fixed source
+    compared against many targets pays for its m x m block once.
+    """
+    Xsa, Xta = _validated_pair(Xs, Xt, min_count=2)
+    return _unbiased_estimate(
+        Xsa.shape[0], Xta.shape[0], *_block_sums(Xsa, Xta, spec, source_sum)
     )
 
 

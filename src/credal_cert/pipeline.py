@@ -16,25 +16,32 @@ from .conformal import CoveragePolicy, coverage_increment
 from .credal import CredalSpec, RadiusSource, decide_adaptation, risk_interval
 from .errors import InputError
 from .io import CertifyConfig
-from .kernels import KernelSpec, median_heuristic
+from .kernels import KernelSpec, gram_matrix, median_heuristic
 from .mmd import (
     concentration_width,
-    mmd2_unbiased,
+    mmd2_unbiased_from_source_sum,
     mmd_upper_confidence,
     permutation_calibrate,
 )
 from .pac_bayes import PosteriorComplexity, finite_sample_bound
-from .rkhs_norm import NormEstimate, estimate_rkhs_norm
+from .rkhs_norm import NormEstimate, fit_rkhs_norm
 from .validation import as_features, as_vector
 
 
 @dataclass(frozen=True)
 class SourceState:
-    """Source-side quantities precomputed once and reused per target batch."""
+    """Source-side quantities precomputed once and reused per target batch.
+
+    gram_sum is the sum of the source self-Gram under kernel, so each
+    certificate builds only the target self-block and the cross block; a
+    monitor session computes the source block once. Only the float is kept,
+    never the m x m matrix.
+    """
 
     features: np.ndarray
     losses: np.ndarray
     kernel: KernelSpec
+    gram_sum: float
     emp_risk: float
     l_h: float
     l_h_source: str
@@ -51,7 +58,8 @@ def prepare_source(
 
     target_for_bandwidth joins the median-heuristic pool when given (the
     certify path); monitor resolves the bandwidth from the source alone so
-    the kernel stays fixed across batches.
+    the kernel stays fixed across batches. The source self-Gram is built
+    once, here: it feeds both the ridge norm fit and gram_sum.
     """
     Xs = as_features(source_features, "source features")
     losses = as_vector(source_losses, "source losses")
@@ -65,8 +73,10 @@ def prepare_source(
     else:
         kernel = median_heuristic(Xs, target_for_bandwidth)
     emp_risk = float(np.mean(losses))
+    K = gram_matrix(Xs, None, kernel)
+    gram_sum = float(np.sum(K))
     if cfg.l_h is None:
-        norm = estimate_rkhs_norm(Xs, losses, kernel, cfg.ridge_lambda)
+        norm = fit_rkhs_norm(K, losses, cfg.ridge_lambda)
         l_h = norm.l_h
         l_h_source = "estimated"
     else:
@@ -77,6 +87,7 @@ def prepare_source(
         features=Xs,
         losses=losses,
         kernel=kernel,
+        gram_sum=gram_sum,
         emp_risk=emp_risk,
         l_h=l_h,
         l_h_source=l_h_source,
@@ -96,7 +107,9 @@ def certificate_body(
     The CLI appends the input digests and tool_version after these fields.
     """
     Xt = as_features(target_features, "target features")
-    est = mmd2_unbiased(state.features, Xt, state.kernel)
+    est = mmd2_unbiased_from_source_sum(
+        state.features, Xt, state.kernel, state.gram_sum
+    )
     mmd_width = concentration_width(est.m, est.n, cfg.delta / 2.0)
 
     calibration = None

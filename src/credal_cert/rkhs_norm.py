@@ -35,6 +35,8 @@ def estimate_rkhs_norm(
 ) -> NormEstimate:
     """Estimate the RKHS norm of the loss function from point evaluations.
 
+    Builds the self-Gram of X and fits it with fit_rkhs_norm.
+
     Parameters
     ----------
     X : array-like, shape (n, d)
@@ -56,14 +58,28 @@ def estimate_rkhs_norm(
         If the regularized system is singular or conditioned beyond float64
         resolution.
     """
-    Xa = as_features(X, "X")
+    K = gram_matrix(as_features(X, "X"), None, k)
+    return fit_rkhs_norm(K, losses, ridge_lambda)
+
+
+def fit_rkhs_norm(
+    K: np.ndarray,
+    losses,
+    ridge_lambda: float | None = None,
+) -> NormEstimate:
+    """Kernel ridge fit on a precomputed self-Gram K of the loss points.
+
+    K must be gram_matrix(X, None, k); the result is then
+    estimate_rkhs_norm(X, losses, k, ridge_lambda) bit for bit. Callers that
+    also need the source Gram for something else build it once and pass it
+    here.
+    """
     y = as_vector(losses, "losses")
-    n = Xa.shape[0]
+    n = K.shape[0]
     if y.shape[0] != n:
         raise InputError(
             f"losses length {y.shape[0]} does not match sample count {n}"
         )
-    K = gram_matrix(Xa, None, k)
     if ridge_lambda is None:
         ridge_lambda = 1e-6 * float(np.trace(K)) / n
     ridge_lambda = check_positive(ridge_lambda, "ridge_lambda")

@@ -195,8 +195,7 @@ class GeometryExperiment:
         for s in _trial_seeds(self.seed, self.trials):
             scenario = self.scenario.with_seed(s)
             Xs, Xt = sample_scenario(scenario, self.m + 1, self.n)
-            anchor, Xs = Xs[0], Xs[1:]
-            report = geodesic_distortion(anchor, Xs, Xt, kernel, self.c_w)
+            report = geodesic_distortion(Xs[:1], Xs[1:], Xt, kernel, self.c_w)[0]
             tolerance = self.remainder_coef * report.epsilon_bar**2
             if report.lhs_estimate <= report.rhs_bound + tolerance:
                 holds += 1

@@ -21,7 +21,9 @@ from credal_cert import (
     permutation_calibrate,
     read_features,
 )
+from credal_cert import mmd as mmd_module
 from credal_cert.cli import main
+from credal_cert.kernels import gram_matrix
 from conftest import DATA_DIR
 
 SOURCE = str(DATA_DIR / "source_features.csv")
@@ -274,6 +276,66 @@ def test_monitor_window_pools_recent_batches(capsys):
         for line in capsys.readouterr().out.strip().splitlines()
     ]
     assert sizes == [12, 24, 24, 24]
+
+
+def _csv_block(rows):
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
+
+
+def _monitor_parity_run(tmp_path, capsys, window):
+    """Stream A, B, A, then C equal to the source rows; return the source,
+    the batches, and the records."""
+    src, lss, _ = write_inputs(tmp_path, rows=30)
+    cfg = write_config(tmp_path, l_h="estimate")
+    Xs = read_features(str(src))
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 2))
+    b = 0.5 + rng.standard_normal((6, 2))
+    batches = [a, b, a, Xs]
+    stream = tmp_path / "stream.txt"
+    stream.write_text("\n---\n".join(_csv_block(x) for x in batches) + "\n")
+    argv = ["monitor", str(stream), str(src), str(lss), str(cfg)]
+    if window is not None:
+        argv += ["--window", str(window)]
+    assert main(argv) == 0
+    records = [
+        json.loads(line) for line in capsys.readouterr().out.strip().splitlines()
+    ]
+    return Xs, batches, records
+
+
+@pytest.mark.parametrize("window", [None, 2])
+def test_monitor_mmd2_matches_library_bitwise(tmp_path, capsys, window):
+    Xs, batches, records = _monitor_parity_run(tmp_path, capsys, window)
+    spec = median_heuristic(Xs)
+    assert len(records) == 4
+    for seq, record in enumerate(records):
+        recent = batches[max(0, seq + 1 - (window or 1)) : seq + 1]
+        pooled = np.vstack(recent)
+        assert record["n"] == pooled.shape[0]
+        assert record["mmd2"] == mmd2_unbiased(Xs, pooled, spec).mmd2
+
+
+def test_monitor_repeated_batch_and_identical_sample(tmp_path, capsys, monkeypatch):
+    shapes = []
+
+    def counting(X, Y, spec):
+        K = gram_matrix(X, Y, spec)
+        shapes.append(K.shape)
+        return K
+
+    monkeypatch.setattr(mmd_module, "gram_matrix", counting)
+    Xs, _, records = _monitor_parity_run(tmp_path, capsys, None)
+    first, second = dict(records[0]), dict(records[2])
+    assert (first.pop("batch_seq"), second.pop("batch_seq")) == (0, 2)
+    assert first == second
+    # batch C equals the source: the identical-sample shortcut builds no
+    # target or cross block and uses the source self-Gram sum for all three
+    m = Xs.shape[0]
+    assert [x for x in shapes if x != (m, m)] == [(6, 6), (m, 6)] * 3
+    s = float(np.sum(gram_matrix(Xs, None, median_heuristic(Xs))))
+    shortcut = 2.0 * (s - m) / (m * (m - 1)) - 2.0 * s / (m * m)
+    assert records[3]["mmd2"] == shortcut
 
 
 def test_monitor_empty_stream_emits_nothing(tmp_path, capsys):
