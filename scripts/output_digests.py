@@ -1,0 +1,165 @@
+"""Print one digest line per CLI command, for byte-identity checks.
+
+Writes seeded benchmark-size inputs (m = n = 2000, d = 10, a monitor stream
+of ten 50-row batches plus one batch equal to the source rows) and the input
+fixtures of tests/data into a temporary directory. Then runs certify,
+monitor (default and --window 2), geometry (with and without --labels),
+calibrate and norm on both input sets, in process through cli.main, and
+prints `name exit sha256` per command. The digest covers stdout and stderr.
+
+Run it against two source trees and diff the output:
+
+    PYTHONPATH=<tree>/src python scripts/output_digests.py > digests.txt
+
+Identical lines mean the two trees print the same bytes for every command.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from credal_cert.cli import main as cli_main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+FIXTURE_DIR = REPO_ROOT / "tests" / "data"
+FIXTURE_INPUTS = [
+    "source_features.csv",
+    "source_losses.csv",
+    "target_features.csv",
+    "config.json",
+    "monitor_stream.txt",
+    "anchors.csv",
+    "labels.csv",
+]
+
+M = 2000
+D = 10
+BATCH_ROWS = 50
+NUM_BATCHES = 10
+NUM_ANCHORS = 20
+# the README quick-start config; monitor drops the permutation radius
+CONFIG = {
+    "gamma": "median",
+    "delta": 0.1,
+    "kl": 1.5,
+    "n_labeled": 40,
+    "l_h": "estimate",
+    "lambda": 1e-06,
+    "r_max": 0.8,
+    "alpha0": 0.1,
+    "epsilon": "calibrate",
+    "num_permutations": 1000,
+    "alpha": 0.05,
+}
+
+
+def _csv(rows: np.ndarray) -> str:
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+def write_benchmark_inputs(out: Path, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    Xs = rng.standard_normal((M, D))
+    Xt = 0.25 + math.sqrt(1.2) * rng.standard_normal((M, D))
+    w = rng.standard_normal(D) / math.sqrt(D)
+    losses = 1.0 / (1.0 + np.exp(-(Xs @ w + 0.3 * rng.standard_normal(M))))
+    batches = [
+        0.25 + math.sqrt(1.2) * rng.standard_normal((BATCH_ROWS, D))
+        for _ in range(NUM_BATCHES)
+    ]
+    batches.append(Xs)
+    anchors = 0.125 + rng.standard_normal((NUM_ANCHORS, D))
+    labels = ["rare" if i % 5 == 0 else "common" for i in range(NUM_ANCHORS)]
+
+    (out / "source_features.csv").write_text(_csv(Xs))
+    (out / "target_features.csv").write_text(_csv(Xt))
+    (out / "source_losses.csv").write_text(_csv(losses))
+    (out / "monitor_stream.txt").write_text(
+        "---\n".join(_csv(b) for b in batches)
+    )
+    (out / "anchors.csv").write_text(_csv(anchors))
+    (out / "labels.csv").write_text("\n".join(labels) + "\n")
+    config = dict(CONFIG, seed=int(rng.integers(0, 2**31)))
+    (out / "config.json").write_text(json.dumps(config))
+    monitor_config = {
+        k: v
+        for k, v in config.items()
+        if k not in ("epsilon", "num_permutations", "alpha", "seed")
+    }
+    (out / "monitor_config.json").write_text(json.dumps(monitor_config))
+
+
+def write_fixture_inputs(out: Path) -> None:
+    for name in FIXTURE_INPUTS:
+        shutil.copyfile(FIXTURE_DIR / name, out / name)
+    shutil.copyfile(FIXTURE_DIR / "config.json", out / "monitor_config.json")
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(name, argv) per command; paths are relative to the input directory."""
+    src, losses, tgt = "source_features.csv", "source_losses.csv", "target_features.csv"
+    geometry = ["geometry", src, tgt, "--anchors", "anchors.csv"]
+    monitor = ["monitor", "monitor_stream.txt", src, losses, "monitor_config.json"]
+    return [
+        ("certify", ["certify", src, losses, tgt, "config.json"]),
+        ("monitor", monitor),
+        ("monitor-window2", monitor + ["--window", "2"]),
+        ("geometry", geometry),
+        ("geometry-labels", geometry + ["--labels", "labels.csv"]),
+        ("calibrate", ["calibrate", src, tgt]),
+        ("norm", ["norm", src, losses]),
+    ]
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    digest = hashlib.sha256()
+    digest.update(out.getvalue().encode())
+    digest.update(b"\0")
+    digest.update(err.getvalue().encode())
+    return code, digest.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--seed", type=int, default=7, help="input seed (default 7)")
+    args = parser.parse_args(argv)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, write in [
+            ("fixture", write_fixture_inputs),
+            ("bench", lambda d: write_benchmark_inputs(d, args.seed)),
+        ]:
+            data = Path(tmp) / label
+            data.mkdir()
+            write(data)
+            os.chdir(data)
+            try:
+                for name, cmd in commands():
+                    code, digest = run(cmd)
+                    print(f"{label}-{name} {code} {digest}", flush=True)
+            finally:
+                os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

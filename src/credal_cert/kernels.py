@@ -41,9 +41,30 @@ def _row_sqnorms(X: np.ndarray) -> np.ndarray:
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    d2 = _row_sqnorms(X)[:, None] + _row_sqnorms(Y)[None, :] - 2.0 * (X @ Y.T)
+    # (a + b) - 2G in that order, with two n_x * n_y buffers at most
+    G = X @ Y.T
+    G *= 2.0
+    d2 = _row_sqnorms(X)[:, None] + _row_sqnorms(Y)[None, :]
+    d2 -= G
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+_MIRROR_ROWS = 256
+
+
+def _mirror_upper(d2: np.ndarray) -> None:
+    """Overwrite the diagonal with 0 and the lower triangle with the upper.
+
+    In place, one block of rows at a time; the result is bitwise
+    triu(d2, 1) + triu(d2, 1).T.
+    """
+    n = d2.shape[0]
+    for r0 in range(0, n, _MIRROR_ROWS):
+        r1 = min(r0 + _MIRROR_ROWS, n)
+        d2[r0:r1, :r0] = d2[:r0, r0:r1].T
+        upper = np.triu(d2[r0:r1, r0:r1], 1)
+        d2[r0:r1, r0:r1] = upper + upper.T
 
 
 def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
@@ -61,7 +82,8 @@ def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
     Returns
     -------
     ndarray, shape (n_x, n_y)
-        Entries in (0, 1].
+        Entries in (0, 1]. The matrix is built in place in the squared
+        distance buffer, so the call peaks at about twice the result's size.
     """
     Xa = as_features(X, "X")
     if Y is None:
@@ -74,9 +96,10 @@ def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
     d2 = _sq_dists(Xa, Ya)
     if same:
         # mirror one triangle so K == K.T holds bitwise, not just approximately
-        upper = np.triu(d2, 1)
-        d2 = upper + upper.T
-    return np.exp(-spec.gamma * d2)
+        _mirror_upper(d2)
+    d2 *= -spec.gamma
+    np.exp(d2, out=d2)
+    return d2
 
 
 def median_heuristic(X, Y=None) -> KernelSpec:
@@ -110,7 +133,15 @@ def median_heuristic(X, Y=None) -> KernelSpec:
     if n < 2:
         raise InputError("median heuristic needs at least two pooled samples")
     d2 = _sq_dists(pooled, pooled)
-    med = float(np.median(d2[np.triu_indices(n, k=1)]))
+    # the distinct pairs, row by row: the strict upper triangle in
+    # np.triu_indices order, without its two index arrays
+    vals = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i in range(n - 1):
+        row = d2[i, i + 1 :]
+        vals[pos : pos + row.size] = row
+        pos += row.size
+    med = float(np.median(vals, overwrite_input=True))
     if med <= 0.0:
         raise DegenerateBandwidthError(
             "median pairwise distance is zero; cannot infer a bandwidth"

@@ -2,9 +2,10 @@
 
 The unbiased estimator is the U-statistic (diagonal terms excluded; the raw
 value may be negative and is kept as-is so unbiasedness stays testable). The
-biased estimator is the V-statistic, clamped at zero. Cross-block sums use
-exact summation (math.fsum) so estimates are invariant under swapping the
-two samples, bit for bit.
+biased estimator is the V-statistic, clamped at zero. The cross-block sum
+is the exact sum of its entries rounded once, the same float as math.fsum,
+so estimates are invariant under swapping the two samples, bit for bit. The
+self-block sums are still np.sum, whose rounding depends on the block shape.
 """
 
 from __future__ import annotations
@@ -74,13 +75,49 @@ def _validated_pair(Xs, Xt, min_count: int) -> tuple[np.ndarray, np.ndarray]:
     return Xsa, Xta
 
 
+# _exact_sum splits each entry in [2**-30, 1] into three parts whose sums
+# over one chunk are exact in float64 in any order: hi is a multiple of
+# 2**-28 (at most 44 significant bits per chunk sum), mid a multiple of
+# 2**-55 below 2**-29 in magnitude, and the rest a multiple of 2**-82 below
+# 2**-56.
+_CHUNK = 1 << 16
+_HI_SHIFT = 1.5 * 2.0**24
+_MID_SHIFT = 1.5 * 2.0**-3
+_SPLIT_MIN = 2.0**-30
+
+
+def _exact_sum(K: np.ndarray) -> float:
+    """Correctly rounded sum of all entries of K: math.fsum(K.ravel().tolist()).
+
+    Entries outside [2**-30, 1] go to fsum as they are; the others are split
+    without error into three parts summed per chunk of 2**16 entries. The
+    chunk partials add up to the exact total, so one fsum over them rounds
+    the same exact value fsum over the entries would.
+    """
+    flat = np.ravel(K)
+    partials: list[float] = []
+    for start in range(0, flat.size, _CHUNK):
+        x = flat[start : start + _CHUNK]
+        if not (x.min() >= _SPLIT_MIN and x.max() <= 1.0):
+            inside = (x >= _SPLIT_MIN) & (x <= 1.0)
+            partials.extend(x[~inside].tolist())
+            x = np.where(inside, x, 0.0)
+        hi = (x + _HI_SHIFT) - _HI_SHIFT
+        rest = x - hi
+        mid = (rest + _MID_SHIFT) - _MID_SHIFT
+        rest -= mid
+        partials += [float(np.sum(hi)), float(np.sum(mid)), float(np.sum(rest))]
+    return math.fsum(partials)
+
+
 def _block_sums(Xs: np.ndarray, Xt: np.ndarray, spec: KernelSpec, s_ss=None):
     """Sums of the three Gram blocks (ss, tt, st), full blocks incl. diagonals.
 
     s_ss, when given, is the source self-Gram sum float(np.sum(gram_matrix(
     Xs, None, spec))) computed by the caller; the source block is then not
-    built again. The cross sum uses math.fsum, which is order-exact, so the
-    result does not depend on which sample was passed first. Identical
+    built again. The cross sum is _exact_sum, the correctly rounded exact
+    sum (equal to math.fsum), so the result does not depend on which sample
+    was passed first. The self sums s_ss and s_tt are np.sum. Identical
     inputs reuse the self-Gram sum so all three sums are the same float.
     """
     if s_ss is None:
@@ -90,7 +127,7 @@ def _block_sums(Xs: np.ndarray, Xt: np.ndarray, spec: KernelSpec, s_ss=None):
     k_tt = gram_matrix(Xt, None, spec)
     s_tt = float(np.sum(k_tt))
     k_st = gram_matrix(Xs, Xt, spec)
-    s_st = math.fsum(k_st.ravel().tolist())
+    s_st = _exact_sum(k_st)
     return s_ss, s_tt, s_st
 
 

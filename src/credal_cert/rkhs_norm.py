@@ -84,9 +84,12 @@ def fit_rkhs_norm(
         ridge_lambda = 1e-6 * float(np.trace(K)) / n
     ridge_lambda = check_positive(ridge_lambda, "ridge_lambda")
 
-    system = K + ridge_lambda * np.eye(n)
+    # K + lambda * I in one Fortran-order copy, which LAPACK then factors in
+    # place instead of copying it again
+    system = np.array(K, order="F")
+    system.flat[:: n + 1] += ridge_lambda
     try:
-        factor = cho_factor(system, lower=True)
+        factor = cho_factor(system, lower=True, overwrite_a=True)
     except LinAlgError as exc:
         raise SingularSystemError(
             f"kernel system is not positive definite at lambda={ridge_lambda}"

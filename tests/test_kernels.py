@@ -162,3 +162,51 @@ def test_gram_rejects_non_finite_entries():
 def test_rbf_kernel_rejects_mismatched_vectors():
     with pytest.raises(InputError):
         gram_matrix([[0.0]], [[0.0, 1.0]], KernelSpec(gamma=1.0))
+
+
+# --------------------------------------------- bitwise pins of the in-place path
+
+
+def _reference_sq_dists(X, Y):
+    a = np.einsum("ij,ij->i", X, X)
+    b = np.einsum("ij,ij->i", Y, Y)
+    d2 = a[:, None] + b[None, :] - 2.0 * (X @ Y.T)
+    return np.maximum(d2, 0.0)
+
+
+def _reference_self_gram(X, gamma):
+    # the out-of-place formula: mirror through triu + triu.T, then exp
+    u = np.triu(_reference_sq_dists(X, X), 1)
+    return np.exp(-gamma * (u + u.T))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 600])
+def test_self_gram_matches_out_of_place_formula_bitwise(n):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 10))
+    gamma = 0.05
+    G = gram_matrix(X, None, KernelSpec(gamma=gamma))
+    assert np.array_equal(G, _reference_self_gram(X, gamma))
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(np.diag(G), np.ones(n))
+
+
+def test_cross_gram_matches_out_of_place_formula_bitwise():
+    rng = np.random.default_rng(600)
+    X = rng.standard_normal((600, 10))
+    Y = 0.25 + rng.standard_normal((50, 10))
+    gamma = 0.05
+    G = gram_matrix(X, Y, KernelSpec(gamma=gamma))
+    assert np.array_equal(G, np.exp(-gamma * _reference_sq_dists(X, Y)))
+
+
+@pytest.mark.parametrize("n_x, n_y", [(257, None), (258, None), (200, 57), (200, 58)])
+def test_median_heuristic_matches_triu_indices_median(n_x, n_y):
+    # 257 and 200 + 57 pooled rows give an even pair count, 258 an odd one
+    rng = np.random.default_rng(n_x)
+    X = rng.standard_normal((n_x, 10))
+    Y = None if n_y is None else rng.standard_normal((n_y, 10))
+    pooled = X if Y is None else np.vstack([X, Y])
+    n = pooled.shape[0]
+    med = np.median(_reference_sq_dists(pooled, pooled)[np.triu_indices(n, 1)])
+    assert median_heuristic(X, Y).gamma == 1.0 / (2.0 * med)

@@ -1,0 +1,60 @@
+"""Peak traced memory of the kernel layer and the ridge fit.
+
+Peaks are in multiples of one n x n float64 matrix. The squared-distance
+buffer and the matrix product are the only full-size temporaries of a Gram
+matrix; the ridge fit copies K once.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from credal_cert import KernelSpec, gram_matrix, median_heuristic
+from credal_cert.rkhs_norm import fit_rkhs_norm
+
+N = 1000
+MATRIX_BYTES = N * N * 8
+
+
+def _peak_matrices(fn, matrix_bytes=MATRIX_BYTES) -> float:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / matrix_bytes
+
+
+@pytest.fixture(scope="module")
+def samples():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((N, 10)), rng.standard_normal((N, 10))
+
+
+def test_self_gram_peak(samples):
+    X, _ = samples
+    assert _peak_matrices(lambda: gram_matrix(X, None, KernelSpec(gamma=0.05))) <= 2.25
+
+
+def test_cross_gram_peak(samples):
+    X, Y = samples
+    assert _peak_matrices(lambda: gram_matrix(X, Y, KernelSpec(gamma=0.05))) <= 2.25
+
+
+def test_ridge_fit_peak_beyond_gram(samples):
+    X, _ = samples
+    K = gram_matrix(X, None, KernelSpec(gamma=0.05))
+    losses = np.random.default_rng(1).random(N)
+    assert _peak_matrices(lambda: fit_rkhs_norm(K, losses)) <= 1.25
+
+
+def test_pooled_median_heuristic_peak(samples):
+    X, Y = samples
+    pooled_bytes = (2 * N) ** 2 * 8
+    assert _peak_matrices(lambda: median_heuristic(X, Y), pooled_bytes) <= 2.25

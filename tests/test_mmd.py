@@ -21,6 +21,7 @@ from credal_cert import (
     mmd_upper_confidence,
     permutation_calibrate,
 )
+from credal_cert.mmd import _exact_sum
 
 TWO_POINT_MMD2 = 1.2642411176571153  # 2 - 2/e at unit distance, gamma 1
 WIDTH_200_200_05 = 0.19206455826398416
@@ -225,3 +226,85 @@ def test_calibration_validation():
         permutation_calibrate(Xs, Xt, SPEC, seed=-1)
     with pytest.raises(InputError):
         permutation_calibrate(Xs, Xt, SPEC, threads=0)
+
+
+# ------------------------------------------------------------ exact cross sum
+
+# the edges of the exact three-part split and of the float64 range in [0, 1]
+SPLIT_MIN = 2.0**-30
+EDGE_VALUES = [
+    0.0,
+    1.0,
+    5e-324,
+    math.nextafter(1.0, 0.0),
+    SPLIT_MIN,
+    math.nextafter(SPLIT_MIN, 0.0),
+    math.nextafter(SPLIT_MIN, 1.0),
+    2.0**-29,
+    2.0**-56,
+]
+UNIT_ELEMENTS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0))
+
+
+def _fsum_bits(a: np.ndarray) -> str:
+    return math.fsum(a.ravel().tolist()).hex()
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 400), elements=UNIT_ELEMENTS))
+def test_exact_sum_equals_fsum_bitwise(a):
+    assert _exact_sum(a).hex() == _fsum_bits(a)
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(0, 400),
+        elements=st.floats(SPLIT_MIN, 2.0**-29, exclude_max=True),
+    )
+)
+def test_exact_sum_equals_fsum_in_the_lowest_split_binade(a):
+    # no entry here has a high part, so every low bit counts in the total
+    assert _exact_sum(a).hex() == _fsum_bits(a)
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+        elements=UNIT_ELEMENTS,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_sum_transpose_and_permutation_invariant(K, seed):
+    expected = _fsum_bits(K)
+    assert _exact_sum(K).hex() == expected
+    assert _exact_sum(K.T).hex() == expected
+    shuffled = np.random.default_rng(seed).permutation(K.ravel())
+    assert _exact_sum(shuffled).hex() == expected
+
+
+def _edge_array(size: int, low_binade: bool) -> np.ndarray:
+    rng = np.random.default_rng(size)
+    if low_binade:
+        # entries in the binade of the split minimum, and no large edge
+        # value: the low bits reach 2**-82 and the total stays near 2**-14,
+        # so an inexact partial sum shows in the rounded total
+        a = SPLIT_MIN * (1.0 + rng.random(size))
+        edges = [v for v in EDGE_VALUES if v <= 2.0**-29]
+    else:
+        # kernel-like magnitudes spread over many binades
+        a = np.exp(-rng.exponential(4.0, size))
+        edges = EDGE_VALUES
+    a[rng.integers(0, size, 64)] = rng.choice(edges, 64)
+    return a
+
+
+@pytest.mark.parametrize("low_binade", [False, True])
+@pytest.mark.parametrize("size", [65535, 65536, 65537, 3 * 2**16 + 1])
+def test_exact_sum_chunk_edges(size, low_binade):
+    a = _edge_array(size, low_binade)
+    expected = _fsum_bits(a)
+    assert _exact_sum(a).hex() == expected
+    assert _exact_sum(a[::-1]).hex() == expected
+    assert _exact_sum(np.random.default_rng(0).permutation(a)).hex() == expected
+    assert _exact_sum(a.reshape(1, -1).T).hex() == expected

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from credal_cert import (
     InputError,
@@ -13,7 +16,9 @@ from credal_cert import (
     estimate_rkhs_norm,
     expansion_norm,
     expansion_value,
+    gram_matrix,
 )
+from credal_cert.rkhs_norm import fit_rkhs_norm
 
 K = KernelSpec(gamma=0.5)
 
@@ -99,3 +104,20 @@ def test_validation():
         estimate_rkhs_norm([[0.0]], [0.5], K, ridge_lambda=0.0)
     with pytest.raises(InputError):
         estimate_rkhs_norm([[0.0]], [0.5], K, ridge_lambda=-1e-6)
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_fit_matches_out_of_place_ridge_system_bitwise(n):
+    # the fit adds lambda on the diagonal of one copy of K; the reference
+    # builds K + lambda * I and lets cho_factor copy it
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 10))
+    y = rng.random(n)
+    gram = gram_matrix(X, None, KernelSpec(gamma=0.05))
+    lam = 1e-6 * float(np.trace(gram)) / n
+    alpha = cho_solve(cho_factor(gram + lam * np.eye(n), lower=True), y)
+    fitted = gram @ alpha
+    result = fit_rkhs_norm(gram, y)
+    assert result.ridge_lambda == lam
+    assert result.l_h == math.sqrt(max(float(alpha @ fitted), 0.0))
+    assert result.residual_rms == math.sqrt(float(np.mean((fitted - y) ** 2)))
