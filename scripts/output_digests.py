@@ -1,11 +1,13 @@
 """Print one digest line per CLI command, for byte-identity checks.
 
-Writes seeded benchmark-size inputs (m = n = 2000, d = 10, a monitor stream
-of ten 50-row batches plus one batch equal to the source rows) and the input
-fixtures of tests/data into a temporary directory. Then runs certify,
-monitor (default and --window 2), geometry (with and without --labels),
-calibrate and norm on both input sets, in process through cli.main, and
-prints `name exit sha256` per command. The digest covers stdout and stderr.
+Writes the input fixtures of tests/data and two seeded input sets into a
+temporary directory: benchmark size (m = n = 2000, d = 10) and an odd shape
+(m = 777, n = 333, d = 7) whose kernel matrices end in ragged row blocks.
+Each seeded set has a monitor stream of ten 50-row batches plus one batch
+equal to the source rows. Then runs certify, monitor (default and --window
+2), geometry (with and without --labels), calibrate and norm on every input
+set, in process through cli.main, and prints `name exit sha256` per command.
+The digest covers stdout and stderr.
 
 Run it against two source trees and diff the output:
 
@@ -44,8 +46,8 @@ FIXTURE_INPUTS = [
     "labels.csv",
 ]
 
-M = 2000
-D = 10
+# (label, m, n, d) of the seeded input sets
+SHAPES = [("bench", 2000, 2000, 10), ("odd", 777, 333, 7)]
 BATCH_ROWS = 50
 NUM_BATCHES = 10
 NUM_ANCHORS = 20
@@ -71,18 +73,18 @@ def _csv(rows: np.ndarray) -> str:
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
 
-def write_benchmark_inputs(out: Path, seed: int) -> None:
+def write_seeded_inputs(out: Path, seed: int, m: int, n: int, d: int) -> None:
     rng = np.random.default_rng(seed)
-    Xs = rng.standard_normal((M, D))
-    Xt = 0.25 + math.sqrt(1.2) * rng.standard_normal((M, D))
-    w = rng.standard_normal(D) / math.sqrt(D)
-    losses = 1.0 / (1.0 + np.exp(-(Xs @ w + 0.3 * rng.standard_normal(M))))
+    Xs = rng.standard_normal((m, d))
+    Xt = 0.25 + math.sqrt(1.2) * rng.standard_normal((n, d))
+    w = rng.standard_normal(d) / math.sqrt(d)
+    losses = 1.0 / (1.0 + np.exp(-(Xs @ w + 0.3 * rng.standard_normal(m))))
     batches = [
-        0.25 + math.sqrt(1.2) * rng.standard_normal((BATCH_ROWS, D))
+        0.25 + math.sqrt(1.2) * rng.standard_normal((BATCH_ROWS, d))
         for _ in range(NUM_BATCHES)
     ]
     batches.append(Xs)
-    anchors = 0.125 + rng.standard_normal((NUM_ANCHORS, D))
+    anchors = 0.125 + rng.standard_normal((NUM_ANCHORS, d))
     labels = ["rare" if i % 5 == 0 else "common" for i in range(NUM_ANCHORS)]
 
     (out / "source_features.csv").write_text(_csv(Xs))
@@ -144,13 +146,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for label, write in [
-            ("fixture", write_fixture_inputs),
-            ("bench", lambda d: write_benchmark_inputs(d, args.seed)),
-        ]:
+        for label, *shape in [("fixture",)] + SHAPES:
             data = Path(tmp) / label
             data.mkdir()
-            write(data)
+            if shape:
+                write_seeded_inputs(data, args.seed, *shape)
+            else:
+                write_fixture_inputs(data)
             os.chdir(data)
             try:
                 for name, cmd in commands():

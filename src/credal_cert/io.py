@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,13 +69,10 @@ def file_digest(path: str | Path) -> str:
 
 
 def _parse_float_row(line: str) -> list[float] | None:
-    values = []
-    for token in line.split(","):
-        try:
-            values.append(float(token.strip()))
-        except ValueError:
-            return None
-    return values
+    try:
+        return [float(token.strip()) for token in line.split(",")]
+    except ValueError:
+        return None
 
 
 def parse_feature_rows(
@@ -117,11 +115,11 @@ def parse_feature_rows(
                 f"{origin}: line {lineno}: expected {width} columns, "
                 f"got {len(values)}"
             )
-        for col, v in enumerate(values, start=1):
-            if not np.isfinite(v):
-                raise ParseError(
-                    f"{origin}: line {lineno}: non-finite value in column {col}"
-                )
+        if not all(map(math.isfinite, values)):
+            col = next(c for c, v in enumerate(values, 1) if not math.isfinite(v))
+            raise ParseError(
+                f"{origin}: line {lineno}: non-finite value in column {col}"
+            )
         rows.append(values)
     if not rows:
         raise ParseError(f"{origin}: no data rows")

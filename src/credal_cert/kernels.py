@@ -40,31 +40,29 @@ def _row_sqnorms(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
 
-def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # (a + b) - 2G in that order, with two n_x * n_y buffers at most
-    G = X @ Y.T
-    G *= 2.0
-    d2 = _row_sqnorms(X)[:, None] + _row_sqnorms(Y)[None, :]
-    d2 -= G
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+# Entries per row block when a kernel matrix is finished: about 256 KB of
+# float64, so each block's scratch stays in cache.
+_BLOCK_ENTRIES = 1 << 15
 
 
-_MIRROR_ROWS = 256
+def _row_blocks(n_rows: int, n_cols: int):
+    """(r0, r1) bounds of consecutive row blocks of about _BLOCK_ENTRIES."""
+    step = max(1, _BLOCK_ENTRIES // n_cols)
+    for r0 in range(0, n_rows, step):
+        yield r0, min(r0 + step, n_rows)
 
 
-def _mirror_upper(d2: np.ndarray) -> None:
-    """Overwrite the diagonal with 0 and the lower triangle with the upper.
+def _sq_dists_block(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances of one block of inner products g, in a new scratch block.
 
-    In place, one block of rows at a time; the result is bitwise
-    triu(d2, 1) + triu(d2, 1).T.
+    Computes max((a + b) - 2g, 0) in that order, the order of the unblocked
+    formula, so the bits do not depend on the blocking. g is doubled in place.
     """
-    n = d2.shape[0]
-    for r0 in range(0, n, _MIRROR_ROWS):
-        r1 = min(r0 + _MIRROR_ROWS, n)
-        d2[r0:r1, :r0] = d2[:r0, r0:r1].T
-        upper = np.triu(d2[r0:r1, r0:r1], 1)
-        d2[r0:r1, r0:r1] = upper + upper.T
+    g *= 2.0
+    t = a[:, None] + b[None, :]
+    t -= g
+    np.maximum(t, 0.0, out=t)
+    return t
 
 
 def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
@@ -82,8 +80,9 @@ def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
     Returns
     -------
     ndarray, shape (n_x, n_y)
-        Entries in (0, 1]. The matrix is built in place in the squared
-        distance buffer, so the call peaks at about twice the result's size.
+        Entries in (0, 1]. The matrix is the buffer of X @ Y.T, finished in
+        place by cache-sized row blocks, so the call peaks at little more
+        than the result's size.
     """
     Xa = as_features(X, "X")
     if Y is None:
@@ -93,13 +92,29 @@ def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
         Ya = as_features(Y, "Y")
         check_same_dim(Xa, Ya, "X", "Y")
         same = Ya is Xa or (Ya.shape == Xa.shape and np.array_equal(Xa, Ya))
-    d2 = _sq_dists(Xa, Ya)
-    if same:
-        # mirror one triangle so K == K.T holds bitwise, not just approximately
-        _mirror_upper(d2)
-    d2 *= -spec.gamma
-    np.exp(d2, out=d2)
-    return d2
+    # the only n_x * n_y allocation; the kernel is finished inside it
+    K = Xa @ Ya.T
+    a = _row_sqnorms(Xa)
+    n_x, n_y = K.shape
+    if not same:
+        b = _row_sqnorms(Ya)
+        for r0, r1 in _row_blocks(n_x, n_y):
+            g = K[r0:r1]
+            t = _sq_dists_block(g, a[r0:r1], b)
+            t *= -spec.gamma
+            np.exp(t, out=g)
+        return K
+    for r0, r1 in _row_blocks(n_x, n_y):
+        # finish the upper part only and mirror the rest from finished rows,
+        # so K == K.T holds bitwise, not just approximately
+        g = K[r0:r1, r0:]
+        t = _sq_dists_block(g, a[r0:r1], a[r0:])
+        upper = np.triu(t[:, : r1 - r0], 1)
+        t[:, : r1 - r0] = upper + upper.T
+        t *= -spec.gamma
+        np.exp(t, out=g)
+        K[r0:r1, :r0] = K[:r0, r0:r1].T
+    return K
 
 
 def median_heuristic(X, Y=None) -> KernelSpec:
@@ -132,16 +147,21 @@ def median_heuristic(X, Y=None) -> KernelSpec:
     n = pooled.shape[0]
     if n < 2:
         raise InputError("median heuristic needs at least two pooled samples")
-    d2 = _sq_dists(pooled, pooled)
-    # the distinct pairs, row by row: the strict upper triangle in
-    # np.triu_indices order, without its two index arrays
-    vals = np.empty(n * (n - 1) // 2)
+    # the only n * n allocation; the distances are finished inside it
+    d2 = pooled @ pooled.T
+    a = _row_sqnorms(pooled)
+    # the distinct pairs, row by row, moved to the front of the same buffer:
+    # the strict upper triangle in np.triu_indices order. Row i's pairs end
+    # before position (i + 1) * n, so no later block is overwritten unread.
+    flat = d2.reshape(-1)
     pos = 0
-    for i in range(n - 1):
-        row = d2[i, i + 1 :]
-        vals[pos : pos + row.size] = row
-        pos += row.size
-    med = float(np.median(vals, overwrite_input=True))
+    for r0, r1 in _row_blocks(n, n):
+        t = _sq_dists_block(d2[r0:r1, r0:], a[r0:r1], a[r0:])
+        for i in range(r1 - r0):
+            row = t[i, i + 1 :]
+            flat[pos : pos + row.size] = row
+            pos += row.size
+    med = float(np.median(flat[:pos], overwrite_input=True))
     if med <= 0.0:
         raise DegenerateBandwidthError(
             "median pairwise distance is zero; cannot infer a bandwidth"

@@ -246,6 +246,10 @@ def _permutation_stats(
     )
 
 
+# permutations per K @ z product
+_PERMUTATION_BATCH = 256
+
+
 def permutation_calibrate(
     Xs,
     Xt,
@@ -301,9 +305,8 @@ def permutation_calibrate(
     stats = np.empty(num_permutations)
 
     def fill(lo: int, hi: int) -> None:
-        step = 256
-        for start in range(lo, hi, step):
-            stop = min(start + step, hi)
+        for start in range(lo, hi, _PERMUTATION_BATCH):
+            stop = min(start + _PERMUTATION_BATCH, hi)
             z = np.zeros((N, stop - start))
             for j, b in enumerate(range(start, stop)):
                 rng = np.random.Generator(np.random.PCG64(children[b]))
@@ -313,7 +316,11 @@ def permutation_calibrate(
     if threads <= 1:
         fill(0, num_permutations)
     else:
-        bounds = np.linspace(0, num_permutations, threads + 1).astype(int)
+        # split on the batch grid: the bits of K @ z depend on the column
+        # count, so every batch must hold the same columns at any thread count
+        num_batches = -(-num_permutations // _PERMUTATION_BATCH)
+        bounds = np.linspace(0, num_batches, threads + 1).astype(int)
+        bounds = np.minimum(bounds * _PERMUTATION_BATCH, num_permutations)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
                 pool.submit(fill, int(lo), int(hi))

@@ -195,6 +195,32 @@ def test_feature_parsing_errors_name_file_and_line(tmp_path):
         read_features(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize(
+    "later_line, later_error",
+    [
+        ("1.0", "expected 2 columns"),
+        ("", "empty row"),
+        ("1.0,oops", "could not parse"),
+        ("1.0,-inf", "non-finite value in column 2"),
+    ],
+)
+def test_feature_parsing_reports_the_earliest_error(later_line, later_error):
+    # line 3 holds a non-finite value, line 5 another fault
+    lines = ["x,y", "1.0,2.0", "3.0,nan", "5.0,6.0", later_line]
+    numbered = list(enumerate(lines, start=1))
+    with pytest.raises(
+        ParseError, match=r"^f: line 3: non-finite value in column 2$"
+    ):
+        parse_feature_rows(numbered, "f")
+    with pytest.raises(ParseError, match=f"^f: line 5: {later_error}"):
+        parse_feature_rows([(n, s.replace("nan", "4.0")) for n, s in numbered], "f")
+
+
+def test_feature_parsing_reports_first_non_finite_column():
+    with pytest.raises(ParseError, match="line 2: non-finite value in column 1$"):
+        parse_feature_rows([(1, "1.0,2.0,3.0"), (2, "inf,2.0,nan")], "f")
+
+
 def test_losses_must_be_single_column(tmp_path):
     path = tmp_path / "l.csv"
     path.write_text("loss\n0.25\n1.0\n0.0\n")

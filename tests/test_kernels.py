@@ -174,35 +174,54 @@ def _reference_sq_dists(X, Y):
     return np.maximum(d2, 0.0)
 
 
-def _reference_self_gram(X, gamma):
-    # the out-of-place formula: mirror through triu + triu.T, then exp
-    u = np.triu(_reference_sq_dists(X, X), 1)
+def _reference_self_gram(X, Y, gamma):
+    # the out-of-place formula: mirror through triu + triu.T, then exp;
+    # Y is X multiplies through BLAS syrk, a distinct Y through gemm
+    u = np.triu(_reference_sq_dists(X, Y), 1)
     return np.exp(-gamma * (u + u.T))
 
 
-@pytest.mark.parametrize("n", [255, 256, 257, 600])
+# Rows are finished in blocks of 2**15 // n_cols: 181 rows fill one block
+# exactly, 182 leave a ragged block of 2 rows, 257 one of 3, 600 one of 6.
+@pytest.mark.parametrize("n", [255, 256, 257, 600, 1, 2, 181, 182])
 def test_self_gram_matches_out_of_place_formula_bitwise(n):
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, 10))
     gamma = 0.05
-    G = gram_matrix(X, None, KernelSpec(gamma=gamma))
-    assert np.array_equal(G, _reference_self_gram(X, gamma))
-    assert np.array_equal(G, G.T)
-    assert np.array_equal(np.diag(G), np.ones(n))
+    # None takes the syrk product, an equal but distinct copy gemm
+    for Y in (None, X.copy()):
+        G = gram_matrix(X, Y, KernelSpec(gamma=gamma))
+        reference = _reference_self_gram(X, X if Y is None else Y, gamma)
+        assert np.array_equal(G, reference)
+        assert np.array_equal(G, G.T)
+        assert np.array_equal(np.diag(G), np.ones(n))
 
 
 def test_cross_gram_matches_out_of_place_formula_bitwise():
-    rng = np.random.default_rng(600)
-    X = rng.standard_normal((600, 10))
-    Y = 0.25 + rng.standard_normal((50, 10))
     gamma = 0.05
-    G = gram_matrix(X, Y, KernelSpec(gamma=gamma))
-    assert np.array_equal(G, np.exp(-gamma * _reference_sq_dists(X, Y)))
+    for n_x, n_y in [(600, 50), (50, 600), (2000, 50), (777, 333)]:
+        rng = np.random.default_rng(n_x)
+        X = rng.standard_normal((n_x, 10))
+        Y = 0.25 + rng.standard_normal((n_y, 10))
+        G = gram_matrix(X, Y, KernelSpec(gamma=gamma))
+        assert np.array_equal(G, np.exp(-gamma * _reference_sq_dists(X, Y)))
 
 
-@pytest.mark.parametrize("n_x, n_y", [(257, None), (258, None), (200, 57), (200, 58)])
+@pytest.mark.parametrize(
+    "n_x, n_y",
+    [
+        (257, None),
+        (258, None),
+        (200, 57),
+        (200, 58),
+        (3, None),
+        (181, None),
+        (182, None),
+    ],
+)
 def test_median_heuristic_matches_triu_indices_median(n_x, n_y):
-    # 257 and 200 + 57 pooled rows give an even pair count, 258 an odd one
+    # 257 and 200 + 57 pooled rows give an even pair count, 258 an odd one;
+    # 181 pooled rows fill one row block exactly, 182 and more leave a ragged one
     rng = np.random.default_rng(n_x)
     X = rng.standard_normal((n_x, 10))
     Y = None if n_y is None else rng.standard_normal((n_y, 10))

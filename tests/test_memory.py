@@ -1,8 +1,8 @@
 """Peak traced memory of the kernel layer and the ridge fit.
 
-Peaks are in multiples of one n x n float64 matrix. The squared-distance
-buffer and the matrix product are the only full-size temporaries of a Gram
-matrix; the ridge fit copies K once.
+Peaks are in multiples of one n x n float64 matrix. A Gram matrix and the
+pooled median are finished in the buffer of the matrix product, with only
+cache-sized scratch beside it; the ridge fit copies K once.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ def samples():
 
 def test_self_gram_peak(samples):
     X, _ = samples
-    assert _peak_matrices(lambda: gram_matrix(X, None, KernelSpec(gamma=0.05))) <= 2.25
+    assert _peak_matrices(lambda: gram_matrix(X, None, KernelSpec(gamma=0.05))) <= 1.25
 
 
 def test_cross_gram_peak(samples):
     X, Y = samples
-    assert _peak_matrices(lambda: gram_matrix(X, Y, KernelSpec(gamma=0.05))) <= 2.25
+    assert _peak_matrices(lambda: gram_matrix(X, Y, KernelSpec(gamma=0.05))) <= 1.25
 
 
 def test_ridge_fit_peak_beyond_gram(samples):
@@ -57,4 +57,4 @@ def test_ridge_fit_peak_beyond_gram(samples):
 def test_pooled_median_heuristic_peak(samples):
     X, Y = samples
     pooled_bytes = (2 * N) ** 2 * 8
-    assert _peak_matrices(lambda: median_heuristic(X, Y), pooled_bytes) <= 2.25
+    assert _peak_matrices(lambda: median_heuristic(X, Y), pooled_bytes) <= 1.25

@@ -16,6 +16,7 @@ from credal_cert import (
     MmdKind,
     brute_force_mmd2,
     concentration_width,
+    median_heuristic,
     mmd2_biased,
     mmd2_unbiased,
     mmd_upper_confidence,
@@ -172,6 +173,21 @@ def test_calibration_is_deterministic_and_thread_invariant():
     assert r1.num_permutations == 200
     assert r1.alpha == 0.1
     assert r1.seed == 11
+
+
+def test_calibration_thread_invariant_at_benchmark_shape():
+    # The bits of K @ z depend on the column count of z, so every thread
+    # count must form the same 256-permutation batches; an even split of
+    # 1000 permutations over two threads changed this radius in its low bits.
+    rng = np.random.default_rng(np.random.SeedSequence([11, 500]))
+    Xs = rng.standard_normal((500, 10))
+    Xt = 0.25 + rng.standard_normal((500, 10))
+    spec = median_heuristic(Xs, Xt)
+    results = {
+        permutation_calibrate(Xs, Xt, spec, seed=2, threads=threads)
+        for threads in (1, 2, 3, 5)
+    }
+    assert len(results) == 1
 
 
 def test_calibration_pvalue_has_add_one_form():
