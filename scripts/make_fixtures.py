@@ -2,7 +2,8 @@
 
 Writes deterministic input files (features, losses, config, monitor stream,
 anchors), then runs the installed CLI on them and freezes its byte output as
-expected_certificate.json, expected_monitor.ndjson and expected_geometry.json.
+expected_certificate.json, expected_monitor.ndjson, expected_geometry.json and
+expected_geometry_labels.json.
 The determinism tests compare live CLI bytes against these files, so
 regenerate only when an output change is intended, and commit the result.
 """
@@ -122,9 +123,18 @@ def run_cli(cfg: FixtureConfig) -> None:
         str(data / "source_features.csv"),
         str(data / "target_features.csv"),
         "--anchors", str(data / "anchors.csv"),
-        "--out", str(data / "expected_geometry.json"),
     ]
-    subprocess.run(geometry, check=True, cwd=REPO_ROOT)
+    subprocess.run(
+        geometry + ["--out", str(data / "expected_geometry.json")],
+        check=True,
+        cwd=REPO_ROOT,
+    )
+    labels = ["--labels", str(data / "labels.csv")]
+    subprocess.run(
+        geometry + labels + ["--out", str(data / "expected_geometry_labels.json")],
+        check=True,
+        cwd=REPO_ROOT,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

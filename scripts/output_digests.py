@@ -7,7 +7,9 @@ Each seeded set has a monitor stream of ten 50-row batches plus one batch
 equal to the source rows. Then runs certify, monitor (default and --window
 2), geometry (with and without --labels), calibrate and norm on every input
 set, in process through cli.main, and prints `name exit sha256` per command.
-The digest covers stdout and stderr.
+certify, geometry, calibrate and norm also run once with the fixed bandwidth
+gamma = 0.5 (`*-gamma` lines; certify reads it from its config). The digest
+covers stdout and stderr.
 
 Run it against two source trees and diff the output:
 
@@ -51,6 +53,8 @@ SHAPES = [("bench", 2000, 2000, 10), ("odd", 777, 333, 7)]
 BATCH_ROWS = 50
 NUM_BATCHES = 10
 NUM_ANCHORS = 20
+# the fixed bandwidth of the *-gamma lines
+FIXED_GAMMA = 0.5
 # the README quick-start config; monitor drops the permutation radius
 CONFIG = {
     "gamma": "median",
@@ -111,19 +115,32 @@ def write_fixture_inputs(out: Path) -> None:
     shutil.copyfile(FIXTURE_DIR / "config.json", out / "monitor_config.json")
 
 
+def write_fixed_gamma_config(out: Path) -> None:
+    config = json.loads((out / "config.json").read_text())
+    config["gamma"] = FIXED_GAMMA
+    (out / "gamma_config.json").write_text(json.dumps(config))
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(name, argv) per command; paths are relative to the input directory."""
     src, losses, tgt = "source_features.csv", "source_losses.csv", "target_features.csv"
     geometry = ["geometry", src, tgt, "--anchors", "anchors.csv"]
     monitor = ["monitor", "monitor_stream.txt", src, losses, "monitor_config.json"]
+    calibrate = ["calibrate", src, tgt]
+    norm = ["norm", src, losses]
+    gamma = ["--gamma", repr(FIXED_GAMMA)]
     return [
         ("certify", ["certify", src, losses, tgt, "config.json"]),
         ("monitor", monitor),
         ("monitor-window2", monitor + ["--window", "2"]),
         ("geometry", geometry),
         ("geometry-labels", geometry + ["--labels", "labels.csv"]),
-        ("calibrate", ["calibrate", src, tgt]),
-        ("norm", ["norm", src, losses]),
+        ("calibrate", calibrate),
+        ("norm", norm),
+        ("certify-gamma", ["certify", src, losses, tgt, "gamma_config.json"]),
+        ("geometry-gamma", geometry + gamma),
+        ("calibrate-gamma", calibrate + gamma),
+        ("norm-gamma", norm + gamma),
     ]
 
 
@@ -153,6 +170,7 @@ def main(argv: list[str] | None = None) -> int:
                 write_seeded_inputs(data, args.seed, *shape)
             else:
                 write_fixture_inputs(data)
+            write_fixed_gamma_config(data)
             os.chdir(data)
             try:
                 for name, cmd in commands():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import deque
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,8 @@ from .io import (
     read_losses,
     record_text,
 )
-from .kernels import KernelSource, KernelSpec, median_heuristic
 from .mmd import mmd2_unbiased, permutation_calibrate
-from .pipeline import certificate_body, prepare_source
+from .pipeline import certificate_body, prepare_source, resolve_kernel
 from .rkhs_norm import estimate_rkhs_norm
 from .simulate import format_report, load_experiment
 
@@ -102,19 +102,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _gamma_arg(text: str):
+def _gamma_arg(text: str) -> float | None:
+    # None selects the median heuristic
     if text == "median":
-        return text
+        return None
     try:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'median' or a number, got {text!r}")
 
 
-def _resolve_kernel(gamma, *samples) -> KernelSpec:
-    if gamma == "median":
-        return median_heuristic(*samples)
-    return KernelSpec(gamma=gamma, source=KernelSource.FIXED)
+def _digests(args, *names: str) -> dict:
+    """{name}_sha256 of the input file each named argument points to."""
+    return {f"{name}_sha256": file_digest(getattr(args, name)) for name in names}
 
 
 def _stamp(record: dict, digests: dict) -> None:
@@ -140,12 +140,9 @@ def _cmd_certify(args) -> int:
     cert = certificate_body(state, Xt, cfg, seed=seed, clamp_risk=args.clamp_risk)
     _stamp(
         cert,
-        {
-            "source_features_sha256": file_digest(args.source_features),
-            "source_losses_sha256": file_digest(args.source_losses),
-            "target_features_sha256": file_digest(args.target_features),
-            "config_sha256": file_digest(args.config),
-        },
+        _digests(
+            args, "source_features", "source_losses", "target_features", "config"
+        ),
     )
     _emit(certificate_text(cert), args.out)
     return 0
@@ -180,11 +177,7 @@ def _cmd_monitor(args) -> int:
     losses = read_losses(args.source_losses)
     state = prepare_source(cfg, Xs, losses)
     seed = cfg.seed if cfg.seed is not None else args.seed
-    digests = {
-        "source_features_sha256": file_digest(args.source_features),
-        "source_losses_sha256": file_digest(args.source_losses),
-        "config_sha256": file_digest(args.config),
-    }
+    digests = _digests(args, "source_features", "source_losses", "config")
     dim = state.features.shape[1]
     window: deque | None = (
         deque(maxlen=args.window) if args.window is not None else None
@@ -254,7 +247,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_calibrate(args) -> int:
     Xs = read_features(args.source_features)
     Xt = read_features(args.target_features)
-    spec = _resolve_kernel(args.gamma, Xs, Xt)
+    spec = resolve_kernel(args.gamma, Xs, Xt)
     result = permutation_calibrate(
         Xs,
         Xt,
@@ -271,11 +264,7 @@ def _cmd_calibrate(args) -> int:
         "n": est.n,
         "mmd2": est.mmd2,
         "mmd": est.mmd,
-        "epsilon_alpha": result.epsilon_alpha,
-        "p_value": result.p_value,
-        "num_permutations": result.num_permutations,
-        "alpha": result.alpha,
-        "seed": result.seed,
+        **asdict(result),
     }
     _emit(certificate_text(payload), args.out)
     return 0
@@ -284,15 +273,12 @@ def _cmd_calibrate(args) -> int:
 def _cmd_norm(args) -> int:
     X = read_features(args.features)
     losses = read_losses(args.losses)
-    spec = _resolve_kernel(args.gamma, X)
+    spec = resolve_kernel(args.gamma, X)
     est = estimate_rkhs_norm(X, losses, spec, ridge_lambda=args.ridge_lambda)
     payload = {
         "gamma": spec.gamma,
         "gamma_source": spec.source.value,
-        "n_fit": est.n_fit,
-        "l_h": est.l_h,
-        "ridge_lambda": est.ridge_lambda,
-        "residual_rms": est.residual_rms,
+        **asdict(est),
     }
     _emit(certificate_text(payload), args.out)
     return 0
@@ -302,7 +288,7 @@ def _cmd_geometry(args) -> int:
     Xs = read_features(args.source_features)
     Xt = read_features(args.target_features)
     anchors = read_features(args.anchors)
-    spec = _resolve_kernel(args.gamma, Xs, Xt)
+    spec = resolve_kernel(args.gamma, Xs, Xt)
     payload: dict = {
         "gamma": spec.gamma,
         "gamma_source": spec.source.value,
@@ -311,26 +297,10 @@ def _cmd_geometry(args) -> int:
     if args.labels is not None:
         labels = read_labels(args.labels)
         summaries = rare_class_report(anchors, labels, Xs, Xt, spec, c_w=args.c_w)
-        payload["classes"] = [
-            {
-                "class_label": s.class_label,
-                "sample_count": s.sample_count,
-                "mean_distortion": s.mean_distortion,
-                "max_distortion": s.max_distortion,
-            }
-            for s in summaries
-        ]
+        payload["classes"] = [asdict(s) for s in summaries]
     else:
-        payload["anchors"] = [
-            {
-                "anchor_index": r.anchor_index,
-                "lhs_estimate": r.lhs_estimate,
-                "rhs_bound": r.rhs_bound,
-                "slack": r.slack,
-                "epsilon_bar": r.epsilon_bar,
-            }
-            for r in geodesic_distortion(anchors, Xs, Xt, spec, c_w=args.c_w)
-        ]
+        reports = geodesic_distortion(anchors, Xs, Xt, spec, c_w=args.c_w)
+        payload["anchors"] = [asdict(r) for r in reports]
     _emit(certificate_text(payload), args.out)
     return 0
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .kernels import KernelSpec
 from .mmd import mmd2_unbiased
-from .validation import as_features, check_nonnegative, check_same_dim
+from .validation import as_features, check_nonnegative, validated_pair
 
 
 @dataclass(frozen=True)
@@ -40,22 +40,23 @@ class ClassDistortionSummary:
     max_distortion: float
 
 
-def _anchor_distances(anchors: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # (n_anchors, n_rows) Euclidean distances
-    diffs = anchors[:, None, :] - X[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-
-
 def _validated_samples(anchors_a: np.ndarray, Xs, Xt, c_w: float):
-    Xsa = as_features(Xs, "Xs")
-    Xta = as_features(Xt, "Xt")
-    check_same_dim(Xsa, Xta, "Xs", "Xt")
+    Xsa, Xta = validated_pair(Xs, Xt, min_count=1)
     if Xsa.shape[1] != anchors_a.shape[1]:
         raise InputError(
             f"anchor dimension {anchors_a.shape[1]} does not match sample "
             f"dimension {Xsa.shape[1]}"
         )
     return Xsa, Xta, check_nonnegative(c_w, "c_w")
+
+
+def _anchor_sides(anchors_a, Xsa, Xta, scale: float):
+    """Yield (lhs_estimate, epsilon_bar) for each anchor row, in row order."""
+    for a in anchors_a:
+        dist_s = np.linalg.norm(Xsa - a, axis=1)
+        dist_t = np.linalg.norm(Xta - a, axis=1)
+        lhs = scale * abs(float(np.mean(dist_s)) - float(np.mean(dist_t)))
+        yield lhs, max(float(np.max(dist_s)), float(np.max(dist_t)))
 
 
 def geodesic_distortion(
@@ -79,22 +80,17 @@ def geodesic_distortion(
     Xsa, Xta, c_w = _validated_samples(anchors_a, Xs, Xt, c_w)
     scale = math.sqrt(2.0 * k.gamma)
     rhs = scale * c_w * mmd2_unbiased(Xsa, Xta, k).mmd
-    reports = []
-    for i, a in enumerate(anchors_a):
-        dist_s = np.linalg.norm(Xsa - a, axis=1)
-        dist_t = np.linalg.norm(Xta - a, axis=1)
-        lhs = scale * abs(float(np.mean(dist_s)) - float(np.mean(dist_t)))
-        eps_bar = max(float(np.max(dist_s)), float(np.max(dist_t)))
-        reports.append(
-            DistortionReport(
-                anchor_index=i,
-                lhs_estimate=lhs,
-                rhs_bound=rhs,
-                slack=rhs - lhs,
-                epsilon_bar=eps_bar,
-            )
+    sides = _anchor_sides(anchors_a, Xsa, Xta, scale)
+    return [
+        DistortionReport(
+            anchor_index=i,
+            lhs_estimate=lhs,
+            rhs_bound=rhs,
+            slack=rhs - lhs,
+            epsilon_bar=eps_bar,
         )
-    return reports
+        for i, (lhs, eps_bar) in enumerate(sides)
+    ]
 
 
 def rare_class_report(
@@ -107,9 +103,10 @@ def rare_class_report(
 ) -> list[ClassDistortionSummary]:
     """Per-class distortion summary, rare classes first.
 
-    Groups the anchors by label, computes each anchor's lhs_estimate (the
-    MMD side is shared, it does not depend on the anchor), and reports mean
-    and max per class, sorted by ascending sample count.
+    Groups the anchors by label and reports, per class, the mean and max of
+    the lhs_estimate that geodesic_distortion reports for its anchors, sorted
+    by ascending sample count. No MMD is computed: the bound side does not
+    depend on the anchor.
     """
     anchors_a = as_features(anchors, "anchors")
     label_list = [str(v) for v in np.asarray(labels).ravel()]
@@ -120,9 +117,7 @@ def rare_class_report(
         )
     Xsa, Xta, _ = _validated_samples(anchors_a, Xs, Xt, c_w)
     scale = math.sqrt(2.0 * k.gamma)
-    mean_s = np.mean(_anchor_distances(anchors_a, Xsa), axis=1)
-    mean_t = np.mean(_anchor_distances(anchors_a, Xta), axis=1)
-    lhs = scale * np.abs(mean_s - mean_t)
+    lhs = np.array([lhs for lhs, _ in _anchor_sides(anchors_a, Xsa, Xta, scale)])
     groups: dict[str, list[int]] = {}
     for i, label in enumerate(label_list):
         groups.setdefault(label, []).append(i)

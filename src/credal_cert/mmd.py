@@ -19,12 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import KernelSpec, gram_matrix
-from .validation import (
-    as_features,
-    check_count,
-    check_probability,
-    check_same_dim,
-)
+from .validation import check_count, check_probability, validated_pair
 
 
 class MmdKind(str, Enum):
@@ -61,18 +56,6 @@ class CalibrationResult:
     num_permutations: int
     alpha: float
     seed: int
-
-
-def _validated_pair(Xs, Xt, min_count: int) -> tuple[np.ndarray, np.ndarray]:
-    Xsa = as_features(Xs, "Xs")
-    Xta = as_features(Xt, "Xt")
-    check_same_dim(Xsa, Xta, "Xs", "Xt")
-    if Xsa.shape[0] < min_count or Xta.shape[0] < min_count:
-        raise InputError(
-            f"need at least {min_count} samples per side, "
-            f"got m={Xsa.shape[0]}, n={Xta.shape[0]}"
-        )
-    return Xsa, Xta
 
 
 # _exact_sum splits each entry in [2**-30, 1] into three parts whose sums
@@ -131,14 +114,19 @@ def _block_sums(Xs: np.ndarray, Xt: np.ndarray, spec: KernelSpec, s_ss=None):
     return s_ss, s_tt, s_st
 
 
-def _unbiased_estimate(m: int, n: int, s_ss, s_tt, s_st) -> MmdEstimate:
+def _u_statistic(m: int, n: int, s_ss, s_tt, s_st):
+    """Unbiased squared MMD from the three full block sums; floats or arrays."""
     # self-Gram diagonals are exactly 1.0 each, so subtracting the count
     # removes them
-    value = (
+    return (
         (s_ss - m) / (m * (m - 1))
         + (s_tt - n) / (n * (n - 1))
         - 2.0 * s_st / (m * n)
     )
+
+
+def _unbiased_estimate(m: int, n: int, s_ss, s_tt, s_st) -> MmdEstimate:
+    value = _u_statistic(m, n, s_ss, s_tt, s_st)
     return MmdEstimate(
         mmd2=value,
         mmd=math.sqrt(max(value, 0.0)),
@@ -164,7 +152,7 @@ def mmd2_unbiased(Xs, Xt, spec: KernelSpec) -> MmdEstimate:
              - 2 sum_{i,j} k(xs_i, xt_j)/(mn).
         Its expectation over resampling equals the population squared MMD.
     """
-    Xsa, Xta = _validated_pair(Xs, Xt, min_count=2)
+    Xsa, Xta = validated_pair(Xs, Xt, min_count=2)
     return _unbiased_estimate(
         Xsa.shape[0], Xta.shape[0], *_block_sums(Xsa, Xta, spec)
     )
@@ -180,7 +168,7 @@ def mmd2_unbiased_from_source_sum(
     target self-block and the cross block are built. A fixed source
     compared against many targets pays for its m x m block once.
     """
-    Xsa, Xta = _validated_pair(Xs, Xt, min_count=2)
+    Xsa, Xta = validated_pair(Xs, Xt, min_count=2)
     return _unbiased_estimate(
         Xsa.shape[0], Xta.shape[0], *_block_sums(Xsa, Xta, spec, source_sum)
     )
@@ -192,7 +180,7 @@ def mmd2_biased(Xs, Xt, spec: KernelSpec) -> MmdEstimate:
     Accepts single-sample sides (m, n >= 1). Equals the squared RKHS
     distance between the two empirical mean embeddings.
     """
-    Xsa, Xta = _validated_pair(Xs, Xt, min_count=1)
+    Xsa, Xta = validated_pair(Xs, Xt, min_count=1)
     m, n = Xsa.shape[0], Xta.shape[0]
     s_ss, s_tt, s_st = _block_sums(Xsa, Xta, spec)
     value = s_ss / (m * m) + s_tt / (n * n) - 2.0 * s_st / (m * n)
@@ -239,11 +227,7 @@ def _permutation_stats(
     s_sall = row_sums @ z
     s_st = s_sall - s_ss
     s_tt = total - 2.0 * s_sall + s_ss
-    return (
-        (s_ss - m) / (m * (m - 1))
-        + (s_tt - n) / (n * (n - 1))
-        - 2.0 * s_st / (m * n)
-    )
+    return _u_statistic(m, n, s_ss, s_tt, s_st)
 
 
 # permutations per K @ z product
@@ -284,7 +268,7 @@ def permutation_calibrate(
     threads : int, optional
         Worker threads for the permutation batches.
     """
-    Xsa, Xta = _validated_pair(Xs, Xt, min_count=2)
+    Xsa, Xta = validated_pair(Xs, Xt, min_count=2)
     m, n = Xsa.shape[0], Xta.shape[0]
     num_permutations = check_count(num_permutations, "num_permutations", minimum=100)
     alpha = check_probability(alpha, "alpha")

@@ -29,7 +29,6 @@ from .validation import (
 class BoundKind(str, Enum):
     POPULATION = "population"
     FINITE_SAMPLE = "finite_sample"
-    LOWER_ONLY = "lower_only"
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import CoveragePolicy, coverage_increment
+from .conformal import CoveragePolicy, adaptive_alpha, coverage_increment
 from .credal import CredalSpec, RadiusSource, decide_adaptation, risk_interval
 from .errors import InputError
 from .io import CertifyConfig
@@ -39,13 +39,19 @@ class SourceState:
     """
 
     features: np.ndarray
-    losses: np.ndarray
     kernel: KernelSpec
     gram_sum: float
     emp_risk: float
     l_h: float
     l_h_source: str
     norm: NormEstimate | None
+
+
+def resolve_kernel(gamma: float | None, X, Y=None) -> KernelSpec:
+    """The fixed bandwidth gamma, or the median heuristic over X and Y if None."""
+    if gamma is None:
+        return median_heuristic(X, Y)
+    return KernelSpec(gamma=gamma)
 
 
 def prepare_source(
@@ -68,10 +74,7 @@ def prepare_source(
             f"source losses count {losses.shape[0]} does not match source "
             f"feature rows {Xs.shape[0]}"
         )
-    if cfg.gamma is not None:
-        kernel = KernelSpec(gamma=cfg.gamma)
-    else:
-        kernel = median_heuristic(Xs, target_for_bandwidth)
+    kernel = resolve_kernel(cfg.gamma, Xs, target_for_bandwidth)
     emp_risk = float(np.mean(losses))
     K = gram_matrix(Xs, None, kernel)
     gram_sum = float(np.sum(K))
@@ -85,7 +88,6 @@ def prepare_source(
         l_h_source = "user"
     return SourceState(
         features=Xs,
-        losses=losses,
         kernel=kernel,
         gram_sum=gram_sum,
         emp_risk=emp_risk,
@@ -195,10 +197,9 @@ def certificate_body(
             n_labeled=cfg.n_labeled,
             l_h=state.l_h,
         )
-        increment = coverage_increment(policy, epsilon)
         cert["alpha0"] = cfg.alpha0
-        cert["coverage_increment"] = increment
-        cert["adaptive_alpha"] = min(1.0, cfg.alpha0 + increment)
+        cert["coverage_increment"] = coverage_increment(policy, epsilon)
+        cert["adaptive_alpha"] = adaptive_alpha(policy, epsilon)
     if clamp_risk:
         for key in (
             "empirical_risk",

@@ -21,9 +21,9 @@ from .validation import as_features, as_vector, check_positive
 
 @dataclass(frozen=True)
 class NormEstimate:
+    n_fit: int
     l_h: float
     ridge_lambda: float
-    n_fit: int
     residual_rms: float
 
 
@@ -105,8 +105,8 @@ def fit_rkhs_norm(
     norm2 = float(alpha @ fitted)
     residual = fitted - y
     return NormEstimate(
+        n_fit=n,
         l_h=math.sqrt(max(norm2, 0.0)),
         ridge_lambda=ridge_lambda,
-        n_fit=n,
         residual_rms=math.sqrt(float(np.mean(residual**2))),
     )

@@ -285,8 +285,8 @@ def load_experiment(path, default_seed: int = 0):
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise InputError(f"{origin}: 'trials' must be a positive integer")
     seed = payload.get("seed", default_seed)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise InputError(f"{origin}: 'seed' must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InputError(f"{origin}: 'seed' must be a nonnegative integer")
     if "scenario" not in payload:
         raise InputError(f"{origin}: missing key 'scenario'")
     scenario = _scenario_from_payload(payload["scenario"], origin, seed)

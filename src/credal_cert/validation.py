@@ -40,6 +40,19 @@ def check_same_dim(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> No
         )
 
 
+def validated_pair(Xs, Xt, min_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two sample matrices Xs, Xt of one dimension, each of min_count rows or more."""
+    Xsa = as_features(Xs, "Xs")
+    Xta = as_features(Xt, "Xt")
+    check_same_dim(Xsa, Xta, "Xs", "Xt")
+    if Xsa.shape[0] < min_count or Xta.shape[0] < min_count:
+        raise InputError(
+            f"need at least {min_count} samples per side, "
+            f"got m={Xsa.shape[0]}, n={Xta.shape[0]}"
+        )
+    return Xsa, Xta
+
+
 def check_probability(value: float, name: str, *, open_upper: float = 1.0) -> float:
     value = float(value)
     if not np.isfinite(value) or not 0.0 < value < open_upper:

@@ -36,6 +36,7 @@ LABELS = str(DATA_DIR / "labels.csv")
 GOLDEN_CERT = DATA_DIR / "expected_certificate.json"
 GOLDEN_MONITOR = DATA_DIR / "expected_monitor.ndjson"
 GOLDEN_GEOMETRY = DATA_DIR / "expected_geometry.json"
+GOLDEN_GEOMETRY_LABELS = DATA_DIR / "expected_geometry_labels.json"
 
 
 def certify_args(out=None):
@@ -466,6 +467,27 @@ def test_simulate_cli_zero_trials_exits_one(tmp_path, capsys):
     assert main(["simulate", str(path)]) == 1
 
 
+def test_simulate_cli_negative_seed_exits_one(tmp_path, capsys):
+    payload = {
+        "experiment": "unbiasedness",
+        "trials": 5,
+        "seed": -1,
+        "scenario": {
+            "d": 1,
+            "mean_s": 0.0,
+            "mean_t": 0.0,
+            "var_s": 1.0,
+            "var_t": 1.0,
+            "gamma": 1.0,
+        },
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(payload))
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'seed'" in err
+
+
 def test_calibrate_cli_matches_library(capsys):
     assert main(
         [
@@ -522,6 +544,13 @@ def test_geometry_matches_golden_fixture(tmp_path):
         ["geometry", SOURCE, TARGET, "--anchors", ANCHORS, "--out", str(out)]
     ) == 0
     assert out.read_bytes() == GOLDEN_GEOMETRY.read_bytes()
+
+
+def test_geometry_labels_matches_golden_fixture(tmp_path):
+    out = tmp_path / "geometry_labels.json"
+    argv = ["geometry", SOURCE, TARGET, "--anchors", ANCHORS, "--labels", LABELS]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_GEOMETRY_LABELS.read_bytes()
 
 
 def test_geometry_cli_label_mismatch_exits_one(tmp_path, capsys):

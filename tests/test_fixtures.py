@@ -29,7 +29,7 @@ def test_generator_reproduces_committed_fixtures(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     committed = sorted(p.name for p in DATA_DIR.iterdir())
-    assert len(committed) == 10
+    assert len(committed) == 11
     assert sorted(p.name for p in tmp_path.iterdir()) == committed
     for name in committed:
         assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name

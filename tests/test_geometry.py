@@ -153,6 +153,26 @@ def test_rare_class_report_sorts_rare_first():
     )
 
 
+@pytest.mark.parametrize(
+    "m, n, d, num_anchors",
+    [(40, 30, 1, 12), (300, 200, 3, 9), (150, 90, 10, 8), (70, 120, 128, 6)],
+)
+def test_rare_class_summaries_equal_anchor_report_bitwise(m, n, d, num_anchors):
+    rng = np.random.default_rng(1000 + d)
+    Xs = rng.standard_normal((m, d))
+    Xt = 0.3 + 1.1 * rng.standard_normal((n, d))
+    anchors = rng.standard_normal((num_anchors, d))
+    labels = [("a", "b", "c")[int(v)] for v in rng.integers(0, 3, num_anchors)]
+    k = KernelSpec(gamma=0.37 / d)
+    lhs = [r.lhs_estimate for r in geodesic_distortion(anchors, Xs, Xt, k)]
+    summaries = rare_class_report(anchors, labels, Xs, Xt, k)
+    assert sum(s.sample_count for s in summaries) == num_anchors
+    for s in summaries:
+        values = [v for v, label in zip(lhs, labels) if label == s.class_label]
+        assert s.mean_distortion == float(np.mean(values))
+        assert s.max_distortion == float(np.max(values))
+
+
 def test_rare_class_ties_break_by_label():
     rng = np.random.default_rng(5)
     Xs = rng.standard_normal((10, 2))
