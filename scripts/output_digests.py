@@ -1,8 +1,10 @@
 """Print one digest line per CLI command, for byte-identity checks.
 
-Writes the input fixtures of tests/data and two seeded input sets into a
-temporary directory: benchmark size (m = n = 2000, d = 10) and an odd shape
-(m = 777, n = 333, d = 7) whose kernel matrices end in ragged row blocks.
+Writes the input fixtures of tests/data and three seeded input sets into a
+temporary directory: benchmark size (m = n = 2000, d = 10), an odd shape
+(m = 777, n = 333, d = 7) whose kernel matrices end in ragged row blocks,
+and a wide one (m = 300, n = 200, d = 128) whose inner products span many
+features.
 Each seeded set has a monitor stream of ten 50-row batches plus one batch
 equal to the source rows. Then runs certify, monitor (default and --window
 2), geometry (with and without --labels), calibrate and norm on every input
@@ -49,7 +51,7 @@ FIXTURE_INPUTS = [
 ]
 
 # (label, m, n, d) of the seeded input sets
-SHAPES = [("bench", 2000, 2000, 10), ("odd", 777, 333, 7)]
+SHAPES = [("bench", 2000, 2000, 10), ("odd", 777, 333, 7), ("wide", 300, 200, 128)]
 BATCH_ROWS = 50
 NUM_BATCHES = 10
 NUM_ANCHORS = 20

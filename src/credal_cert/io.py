@@ -78,7 +78,6 @@ def _parse_float_row(line: str) -> list[float] | None:
 def parse_feature_rows(
     lines: list[tuple[int, str]],
     origin: str,
-    min_columns: int = 1,
     max_columns: int | None = None,
 ) -> np.ndarray:
     """Parse CSV lines into a float matrix; origin labels error messages."""
@@ -100,11 +99,6 @@ def parse_feature_rows(
         first_data = False
         if width is None:
             width = len(values)
-            if width < min_columns:
-                raise ParseError(
-                    f"{origin}: line {lineno}: expected at least "
-                    f"{min_columns} column(s), got {width}"
-                )
             if max_columns is not None and width > max_columns:
                 raise ParseError(
                     f"{origin}: line {lineno}: expected at most "
@@ -144,9 +138,7 @@ def read_features(path: str | Path) -> np.ndarray:
 
 def read_losses(path: str | Path) -> np.ndarray:
     """Read a single-column loss vector from a CSV file."""
-    matrix = parse_feature_rows(
-        _numbered_lines(path), str(path), min_columns=1, max_columns=1
-    )
+    matrix = parse_feature_rows(_numbered_lines(path), str(path), max_columns=1)
     return matrix[:, 0]
 
 

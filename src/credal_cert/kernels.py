@@ -4,6 +4,12 @@ All kernels here are Gaussian RBF, k(x, y) = exp(-gamma * ||x - y||^2),
 so every kernel value lies in (0, 1]. Squared distances are computed with
 the expansion ||x||^2 + ||y||^2 - 2<x, y>, clamped at zero so cancellation
 can never produce a negative distance.
+
+Every inner product comes from one path: a single gemm on both operands
+zero-padded to a multiple of _PAD rows, finished in its own buffer. Self,
+cross and pooled Gram matrices and the median heuristic therefore share
+bits: an entry depends only on its pair of rows, not on their positions,
+the call's shape or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -53,16 +59,49 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 
 def _sq_dists_block(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances of one block of inner products g, in a new scratch block.
+    """Squared distances from one block g of doubled inner products 2<x, y>.
 
-    Computes max((a + b) - 2g, 0) in that order, the order of the unblocked
-    formula, so the bits do not depend on the blocking. g is doubled in place.
+    Computes max((a + b) - g, 0) in a new scratch block, in the order of the
+    unblocked formula, so the bits do not depend on the blocking. g may be
+    wider than b; its columns past b.size are padding and unused.
     """
-    g *= 2.0
     t = a[:, None] + b[None, :]
-    t -= g
+    t -= g[:, : b.size]
     np.maximum(t, 0.0, out=t)
     return t
+
+
+# Both operands of every kernel product are zero-padded to a multiple of
+# _PAD rows. On the OpenBLAS build this package is tested with (0.3.31,
+# SkylakeX kernels), a gemm on such operands rounds each inner product the
+# same way wherever its pair of rows sits and at any thread count, because
+# whole 8-row panels keep every product off the micro-kernel's edge paths.
+# Padding to 2 or 4 rows, or padding one operand only, does not. This is a
+# property of the BLAS build, not of this code: tests/test_kernels.py pins
+# it, so a build that breaks it fails there.
+_PAD = 8
+
+
+def _zero_padded(X: np.ndarray) -> np.ndarray:
+    """X with zero rows appended up to a multiple of _PAD rows; X if aligned."""
+    n = X.shape[0]
+    if n % _PAD == 0:
+        return X
+    Xp = np.zeros((n + -n % _PAD, X.shape[1]))
+    Xp[:n] = X
+    return Xp
+
+
+def _doubled_inner_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """2<x, y> for every pair of rows of X and Y, zero-padded to _PAD rows.
+
+    One gemm, the only n_x * n_y allocation of a kernel call. Doubling Y is
+    exact (barring overflow and subnormal products), so each entry is twice
+    the undoubled product bit for bit and no pass over the result doubles
+    it. The right operand is a fresh C-ordered copy, so numpy never takes
+    its syrk path for an array times its own transpose.
+    """
+    return _zero_padded(X) @ (2.0 * _zero_padded(Y)).T.copy()
 
 
 def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
@@ -72,48 +111,39 @@ def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
     ----------
     X : array-like, shape (n_x, d)
     Y : array-like, shape (n_y, d) or None
-        Pass None (or the same data as X) for the self-Gram; that path
-        mirrors the upper triangle and pins the diagonal to exactly 1.0,
-        so the result is bitwise symmetric with a unit diagonal.
+        Pass None (or the same data as X) for the self-Gram, whose diagonal
+        is pinned to exactly 1.0.
     spec : KernelSpec
 
     Returns
     -------
     ndarray, shape (n_x, n_y)
-        Entries in (0, 1]. The matrix is the buffer of X @ Y.T, finished in
-        place by cache-sized row blocks, so the call peaks at little more
+        Entries in (0, 1]. Entry (i, j) depends only on the rows X[i] and
+        Y[j], not on where they sit in X and Y, so a self-Gram is bitwise
+        symmetric and a block of a pooled Gram is bitwise the Gram of its
+        rows. The matrix lives in the buffer of one padded product, finished
+        in place by cache-sized row blocks, so the call peaks at little more
         than the result's size.
     """
     Xa = as_features(X, "X")
     if Y is None:
-        same = True
         Ya = Xa
     else:
         Ya = as_features(Y, "Y")
         check_same_dim(Xa, Ya, "X", "Y")
-        same = Ya is Xa or (Ya.shape == Xa.shape and np.array_equal(Xa, Ya))
-    # the only n_x * n_y allocation; the kernel is finished inside it
-    K = Xa @ Ya.T
-    a = _row_sqnorms(Xa)
-    n_x, n_y = K.shape
-    if not same:
-        b = _row_sqnorms(Ya)
-        for r0, r1 in _row_blocks(n_x, n_y):
-            g = K[r0:r1]
-            t = _sq_dists_block(g, a[r0:r1], b)
-            t *= -spec.gamma
-            np.exp(t, out=g)
-        return K
-    for r0, r1 in _row_blocks(n_x, n_y):
-        # finish the upper part only and mirror the rest from finished rows,
-        # so K == K.T holds bitwise, not just approximately
-        g = K[r0:r1, r0:]
-        t = _sq_dists_block(g, a[r0:r1], a[r0:])
-        upper = np.triu(t[:, : r1 - r0], 1)
-        t[:, : r1 - r0] = upper + upper.T
+    n_x, n_y = Xa.shape[0], Ya.shape[0]
+    G = _doubled_inner_products(Xa, Ya)
+    a, b = _row_sqnorms(Xa), _row_sqnorms(Ya)
+    # each block's unpadded place starts at or before its padded one, so
+    # finished rows never overwrite rows that are still to be read
+    flat = G.reshape(-1)
+    for r0, r1 in _row_blocks(n_x, G.shape[1]):
+        t = _sq_dists_block(G[r0:r1], a[r0:r1], b)
         t *= -spec.gamma
-        np.exp(t, out=g)
-        K[r0:r1, :r0] = K[:r0, r0:r1].T
+        np.exp(t, out=flat[r0 * n_y : r1 * n_y].reshape(r1 - r0, n_y))
+    K = flat[: n_x * n_y].reshape(n_x, n_y)
+    if Y is None or np.array_equal(Xa, Ya):
+        np.fill_diagonal(K, 1.0)
     return K
 
 
@@ -147,16 +177,17 @@ def median_heuristic(X, Y=None) -> KernelSpec:
     n = pooled.shape[0]
     if n < 2:
         raise InputError("median heuristic needs at least two pooled samples")
-    # the only n * n allocation; the distances are finished inside it
-    d2 = pooled @ pooled.T
+    # the pooled Gram's own distances, finished inside its product buffer
+    d2 = _doubled_inner_products(pooled, pooled)
     a = _row_sqnorms(pooled)
     # the distinct pairs, row by row, moved to the front of the same buffer:
-    # the strict upper triangle in np.triu_indices order. Row i's pairs end
-    # before position (i + 1) * n, so no later block is overwritten unread.
+    # the strict upper triangle in numpy's triu_indices order. Row i's pairs
+    # end before position (i + 1) * n, so no later block is overwritten
+    # unread.
     flat = d2.reshape(-1)
     pos = 0
     for r0, r1 in _row_blocks(n, n):
-        t = _sq_dists_block(d2[r0:r1, r0:], a[r0:r1], a[r0:])
+        t = _sq_dists_block(d2[r0:r1, r0:n], a[r0:r1], a[r0:])
         for i in range(r1 - r0):
             row = t[i, i + 1 :]
             flat[pos : pos + row.size] = row

@@ -53,29 +53,36 @@ def validated_pair(Xs, Xt, min_count: int) -> tuple[np.ndarray, np.ndarray]:
     return Xsa, Xta
 
 
+def _as_float(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{name}: must be a number, got {value!r}") from None
+
+
 def check_probability(value: float, name: str, *, open_upper: float = 1.0) -> float:
-    value = float(value)
+    value = _as_float(value, name)
     if not np.isfinite(value) or not 0.0 < value < open_upper:
         raise InputError(f"{name}: must lie in (0, {open_upper}), got {value!r}")
     return value
 
 
 def check_finite(value: float, name: str) -> float:
-    value = float(value)
+    value = _as_float(value, name)
     if not np.isfinite(value):
         raise InputError(f"{name}: must be finite, got {value!r}")
     return value
 
 
 def check_nonnegative(value: float, name: str) -> float:
-    value = float(value)
+    value = _as_float(value, name)
     if not np.isfinite(value) or value < 0.0:
         raise InputError(f"{name}: must be finite and >= 0, got {value!r}")
     return value
 
 
 def check_positive(value: float, name: str) -> float:
-    value = float(value)
+    value = _as_float(value, name)
     if not np.isfinite(value) or value <= 0.0:
         raise InputError(f"{name}: must be finite and > 0, got {value!r}")
     return value

@@ -488,6 +488,36 @@ def test_simulate_cli_negative_seed_exits_one(tmp_path, capsys):
     assert err.startswith("error: ") and "'seed'" in err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"experiment": "coverage", "delta": "x"}, "delta: must be a number, got 'x'"),
+        (
+            {"experiment": "geometry", "m": 20, "n": 20, "c_w": "abc"},
+            "c_w: must be a number, got 'abc'",
+        ),
+    ],
+)
+def test_simulate_cli_string_for_a_number_exits_one(tmp_path, capsys, extra, message):
+    payload = {
+        "trials": 3,
+        "scenario": {
+            "d": 1,
+            "mean_s": 0.0,
+            "mean_t": 0.0,
+            "var_s": 1.0,
+            "var_t": 1.0,
+            "gamma": 1.0,
+        },
+        **extra,
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(payload))
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_calibrate_cli_matches_library(capsys):
     assert main(
         [

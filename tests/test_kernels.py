@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import credal_cert
 from credal_cert import (
     DegenerateBandwidthError,
     InputError,
@@ -17,6 +22,7 @@ from credal_cert import (
     gram_matrix,
     median_heuristic,
 )
+from credal_cert.kernels import _zero_padded
 
 # frozen closed-form values
 EXP_NEG_ONE = 0.36787944117144233
@@ -164,34 +170,38 @@ def test_rbf_kernel_rejects_mismatched_vectors():
         gram_matrix([[0.0]], [[0.0, 1.0]], KernelSpec(gamma=1.0))
 
 
-# --------------------------------------------- bitwise pins of the in-place path
+# ------------------------------------------ bitwise pins of the padded product
 
 
 def _reference_sq_dists(X, Y):
+    # one gemm on both operands zero-padded to a multiple of 8 rows, then
+    # max((a + b) - 2g, 0) in that order
+    g = _zero_padded(X) @ _zero_padded(Y).T.copy()
     a = np.einsum("ij,ij->i", X, X)
     b = np.einsum("ij,ij->i", Y, Y)
-    d2 = a[:, None] + b[None, :] - 2.0 * (X @ Y.T)
+    d2 = a[:, None] + b[None, :] - 2.0 * g[: X.shape[0], : Y.shape[0]]
     return np.maximum(d2, 0.0)
 
 
-def _reference_self_gram(X, Y, gamma):
-    # the out-of-place formula: mirror through triu + triu.T, then exp;
-    # Y is X multiplies through BLAS syrk, a distinct Y through gemm
-    u = np.triu(_reference_sq_dists(X, Y), 1)
-    return np.exp(-gamma * (u + u.T))
+def _reference_self_gram(X, gamma):
+    # the out-of-place formula with the diagonal pinned to 1.0
+    G = np.exp(-gamma * _reference_sq_dists(X, X))
+    np.fill_diagonal(G, 1.0)
+    return G
 
 
-# Rows are finished in blocks of 2**15 // n_cols: 181 rows fill one block
-# exactly, 182 leave a ragged block of 2 rows, 257 one of 3, 600 one of 6.
+# Rows are finished in blocks of 2**15 // n_cols, n_cols being the padded
+# width: 256 rows fill two blocks exactly; 255 (128 + 127), 257 (124 + 124
+# + 9), 600 (11 x 54 + 6), 181 (178 + 3) and 182 (178 + 4) end ragged.
 @pytest.mark.parametrize("n", [255, 256, 257, 600, 1, 2, 181, 182])
 def test_self_gram_matches_out_of_place_formula_bitwise(n):
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, 10))
     gamma = 0.05
-    # None takes the syrk product, an equal but distinct copy gemm
+    reference = _reference_self_gram(X, gamma)
+    # None and an equal but distinct copy both give the self-Gram
     for Y in (None, X.copy()):
         G = gram_matrix(X, Y, KernelSpec(gamma=gamma))
-        reference = _reference_self_gram(X, X if Y is None else Y, gamma)
         assert np.array_equal(G, reference)
         assert np.array_equal(G, G.T)
         assert np.array_equal(np.diag(G), np.ones(n))
@@ -229,3 +239,104 @@ def test_median_heuristic_matches_triu_indices_median(n_x, n_y):
     n = pooled.shape[0]
     med = np.median(_reference_sq_dists(pooled, pooled)[np.triu_indices(n, 1)])
     assert median_heuristic(X, Y).gamma == 1.0 / (2.0 * med)
+
+
+# ------------------------------ entries depend only on their pair of rows
+#
+# These pin a property of the BLAS build: one gemm on operands padded to 8
+# rows rounds each inner product the same way wherever its pair sits. A
+# build that breaks it fails here rather than in the certificates' bytes.
+
+DIMS = [1, 3, 7, 10, 33, 128, 300]
+# (m, n) splits of a pooled sample: row counts on a multiple of 8 and one
+# off either side of one, and the 777 + 333 split of the odd digest shape
+SPLITS = [
+    (1, 2),
+    (2, 7),
+    (7, 8),
+    (8, 9),
+    (9, 63),
+    (63, 65),
+    (65, 181),
+    (181, 182),
+    (182, 1),
+    (777, 333),
+]
+
+
+def _split_sample(d, m, n):
+    rng = np.random.default_rng([d, m, n])
+    return rng.standard_normal((m, d)), 0.25 + rng.standard_normal((n, d))
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("m, n", SPLITS)
+def test_pooled_gram_blocks_are_the_separate_grams(d, m, n):
+    Xs, Xt = _split_sample(d, m, n)
+    spec = KernelSpec(gamma=0.5 / d)
+    K = gram_matrix(np.vstack([Xs, Xt]), None, spec)
+    assert np.array_equal(K[:m, :m], gram_matrix(Xs, None, spec))
+    assert np.array_equal(K[m:, m:], gram_matrix(Xt, None, spec))
+    assert np.array_equal(K[:m, m:], gram_matrix(Xs, Xt, spec))
+    assert np.array_equal(gram_matrix(Xt, Xs, spec), gram_matrix(Xs, Xt, spec).T)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("m, n", SPLITS)
+def test_permuted_rows_permute_the_gram(d, m, n):
+    Xs, Xt = _split_sample(d, m, n)
+    pooled = np.vstack([Xs, Xt])
+    spec = KernelSpec(gamma=0.5 / d)
+    perm = np.random.default_rng(m + n).permutation(m + n)
+    K = gram_matrix(pooled, None, spec)
+    assert np.array_equal(gram_matrix(pooled[perm], None, spec), K[np.ix_(perm, perm)])
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(np.diag(K), np.ones(m + n))
+    rows = perm[perm < m]
+    cross = gram_matrix(Xs, Xt, spec)
+    assert np.array_equal(gram_matrix(Xs[rows], Xt, spec), cross[rows])
+
+
+_THREAD_DIGEST = """
+import hashlib
+import numpy as np
+from credal_cert import KernelSpec, gram_matrix, median_heuristic
+
+digest = hashlib.sha256()
+for d in (7, 10, 128):
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((300, d))
+    Xs, Xt = rng.standard_normal((777, d)), 0.25 + rng.standard_normal((333, d))
+    spec = KernelSpec(gamma=0.5 / d)
+    for K in (
+        gram_matrix(X, None, spec),
+        gram_matrix(np.vstack([Xs, Xt]), None, spec),
+        gram_matrix(Xs, Xt, spec),
+    ):
+        digest.update(K.tobytes())
+    digest.update(repr(median_heuristic(X).gamma).encode())
+    digest.update(repr(median_heuristic(Xs, Xt).gamma).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_kernel_bits_do_not_depend_on_blas_threads():
+    src = str(Path(credal_cert.__file__).resolve().parent.parent)
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+
+    def digest(**threads):
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_DIGEST],
+            env=dict(env, **threads),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert digest(OPENBLAS_NUM_THREADS="1") == digest()

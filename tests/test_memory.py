@@ -1,8 +1,10 @@
 """Peak traced memory of the kernel layer and the ridge fit.
 
 Peaks are in multiples of one n x n float64 matrix. A Gram matrix and the
-pooled median are finished in the buffer of the matrix product, with only
-cache-sized scratch beside it; the ridge fit copies K once.
+pooled median are finished in the buffer of their one product, taken on
+operands zero-padded to a multiple of 8 rows, with only cache-sized
+scratch beside it; the ridge fit copies K once. N is a multiple of 8, so
+the padded buffer is exactly n x n here.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ import pytest
 from credal_cert import (
     ConcentrationExperiment,
     CoverageExperiment,
+    CredalSpec,
     GeometryExperiment,
     InputError,
+    KernelSpec,
     ShiftScenario,
     UnbiasednessExperiment,
     format_report,
@@ -99,6 +101,24 @@ def test_loader_concentration_options(tmp_path):
     assert isinstance(exp, ConcentrationExperiment)
     assert exp.pairs == ((10, 10), (20, 30))
     assert exp.alphas == (0.1,)
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [("coverage", "delta", "x"), ("geometry", "c_w", "abc")],
+)
+def test_string_for_a_number_is_input_error_at_run(tmp_path, experiment, key, value):
+    # the loader passes numeric options through; they are checked in run()
+    path = write_experiment(tmp_path, experiment=experiment, trials=3, **{key: value})
+    with pytest.raises(InputError, match=f"{key}: must be a number, got '{value}'"):
+        load_experiment(path).run()
+
+
+def test_numeric_checks_reject_non_numbers_as_input_errors():
+    with pytest.raises(InputError, match="gamma: must be a number"):
+        KernelSpec(gamma="x")
+    with pytest.raises(InputError, match="epsilon: must be a number"):
+        CredalSpec(epsilon=None)
 
 
 def test_unbiasedness_experiment_small_run():
