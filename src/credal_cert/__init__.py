@@ -52,9 +52,7 @@ from .kernels import (
 from .mmd import (
     CalibrationResult,
     MmdEstimate,
-    MmdKind,
     concentration_width,
-    mmd2_biased,
     mmd2_unbiased,
     mmd_upper_confidence,
     permutation_calibrate,
@@ -112,7 +110,6 @@ __all__ = [
     "KernelSource",
     "KernelSpec",
     "MmdEstimate",
-    "MmdKind",
     "NormEstimate",
     "NumericalError",
     "ParseError",
@@ -148,7 +145,6 @@ __all__ = [
     "load_config",
     "load_experiment",
     "median_heuristic",
-    "mmd2_biased",
     "mmd2_unbiased",
     "mmd_upper_confidence",
     "parse_feature_rows",

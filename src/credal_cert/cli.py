@@ -179,9 +179,7 @@ def _cmd_monitor(args) -> int:
     seed = cfg.seed if cfg.seed is not None else args.seed
     digests = _digests(args, "source_features", "source_losses", "config")
     dim = state.features.shape[1]
-    window: deque | None = (
-        deque(maxlen=args.window) if args.window is not None else None
-    )
+    window = deque(maxlen=args.window or 1)
 
     if args.target_stream == "-":
         stream = sys.stdin
@@ -204,11 +202,8 @@ def _cmd_monitor(args) -> int:
                         f"target stream batch {batch_seq}: expected {dim} "
                         f"columns to match the source, got {batch.shape[1]}"
                     )
-                if window is not None:
-                    window.append(batch)
-                    pooled = np.vstack(window) if len(window) > 1 else window[0]
-                else:
-                    pooled = batch
+                window.append(batch)
+                pooled = np.vstack(window) if len(window) > 1 else window[0]
                 batch_seed = int(
                     np.random.SeedSequence((seed, batch_seq)).generate_state(
                         1, np.uint64

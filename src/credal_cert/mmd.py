@@ -1,11 +1,11 @@
-"""Squared-MMD estimators, concentration widths, and permutation calibration.
+"""Squared-MMD estimator, concentration width, and permutation calibration.
 
-The unbiased estimator is the U-statistic (diagonal terms excluded; the raw
-value may be negative and is kept as-is so unbiasedness stays testable). The
-biased estimator is the V-statistic, clamped at zero. The cross-block sum
-is the exact sum of its entries rounded once, the same float as math.fsum,
-so estimates are invariant under swapping the two samples, bit for bit. The
-self-block sums are still np.sum, whose rounding depends on the block shape.
+The estimator is the U-statistic (diagonal terms excluded; the raw value
+may be negative and is kept as-is so unbiasedness stays testable). The
+cross-block sum is the exact sum of its entries rounded once, the same
+float as math.fsum, so estimates are invariant under swapping the two
+samples, bit for bit. The self-block sums are still np.sum, whose rounding
+depends on the block shape.
 """
 
 from __future__ import annotations
@@ -13,32 +13,24 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import InputError
 from .kernels import KernelSpec, gram_matrix
 from .validation import check_count, check_probability, validated_pair
 
 
-class MmdKind(str, Enum):
-    UNBIASED = "unbiased"
-    BIASED = "biased"
-
-
 @dataclass(frozen=True)
 class MmdEstimate:
-    """A squared-MMD estimate with its provenance.
+    """An unbiased squared-MMD estimate with its sample counts.
 
-    mmd2 is the raw estimate (negative values possible for the unbiased
-    kind); mmd = sqrt(max(mmd2, 0)); m and n are the source and target
-    sample counts that produced it.
+    mmd2 is the raw U-statistic (negative values possible); mmd =
+    sqrt(max(mmd2, 0)); m and n are the source and target sample counts
+    that produced it.
     """
 
     mmd2: float
     mmd: float
-    kind: MmdKind
     m: int
     n: int
 
@@ -127,13 +119,7 @@ def _u_statistic(m: int, n: int, s_ss, s_tt, s_st):
 
 def _unbiased_estimate(m: int, n: int, s_ss, s_tt, s_st) -> MmdEstimate:
     value = _u_statistic(m, n, s_ss, s_tt, s_st)
-    return MmdEstimate(
-        mmd2=value,
-        mmd=math.sqrt(max(value, 0.0)),
-        kind=MmdKind.UNBIASED,
-        m=m,
-        n=n,
-    )
+    return MmdEstimate(mmd2=value, mmd=math.sqrt(max(value, 0.0)), m=m, n=n)
 
 
 def mmd2_unbiased(Xs, Xt, spec: KernelSpec) -> MmdEstimate:
@@ -174,22 +160,6 @@ def mmd2_unbiased_from_source_sum(
     )
 
 
-def mmd2_biased(Xs, Xt, spec: KernelSpec) -> MmdEstimate:
-    """V-statistic (plug-in) estimate of squared MMD, clamped at zero.
-
-    Accepts single-sample sides (m, n >= 1). Equals the squared RKHS
-    distance between the two empirical mean embeddings.
-    """
-    Xsa, Xta = validated_pair(Xs, Xt, min_count=1)
-    m, n = Xsa.shape[0], Xta.shape[0]
-    s_ss, s_tt, s_st = _block_sums(Xsa, Xta, spec)
-    value = s_ss / (m * m) + s_tt / (n * n) - 2.0 * s_st / (m * n)
-    value = max(0.0, value)
-    return MmdEstimate(
-        mmd2=value, mmd=math.sqrt(value), kind=MmdKind.BIASED, m=m, n=n
-    )
-
-
 def concentration_width(m: int, n: int, alpha: float) -> float:
     """Distribution-free deviation width for the unbiased MMD estimate.
 
@@ -203,13 +173,7 @@ def concentration_width(m: int, n: int, alpha: float) -> float:
 
 
 def mmd_upper_confidence(est: MmdEstimate, alpha: float) -> float:
-    """Upper confidence limit est.mmd + concentration_width at level alpha.
-
-    Defined for unbiased estimates only; the width has no guarantee for the
-    plug-in estimator.
-    """
-    if est.kind is not MmdKind.UNBIASED:
-        raise InputError("upper confidence limit requires an unbiased estimate")
+    """Upper confidence limit est.mmd + concentration_width at level alpha."""
     return est.mmd + concentration_width(est.m, est.n, alpha)
 
 

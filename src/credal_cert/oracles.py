@@ -1,9 +1,9 @@
-"""Synthetic Gaussian shift scenarios with analytically known MMD, plus
-brute-force reference estimators.
+"""Synthetic Gaussian shift scenarios with analytically known MMD, plus a
+brute-force reference estimator.
 
 Everything here exists to check the fast paths against independent ground
-truth: closed-form MMD between isotropic Gaussians, naive triple-loop
-estimators that share no code with the Gram-based ones, and an explicit
+truth: closed-form MMD between isotropic Gaussians, a naive triple-loop
+estimator that shares no code with the Gram-based one, and an explicit
 kernel expansion whose RKHS norm and target risk are known.
 """
 
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import KernelSpec, gram_matrix
-from .mmd import MmdKind
 from .validation import (
     as_features,
     as_vector,
@@ -183,11 +182,12 @@ def analytic_mixture_mmd2(
     return max(0.0, e_pp + e_qq - 2.0 * e_pq)
 
 
-def brute_force_mmd2(Xs, Xt, k: KernelSpec, kind: MmdKind) -> float:
-    """Naive reference estimator: explicit Python loops, no Gram matrix.
+def brute_force_mmd2(Xs, Xt, k: KernelSpec) -> float:
+    """Naive reference U-statistic: explicit Python loops, no Gram matrix.
 
-    Deliberately shares no code with the vectorized estimators so agreement
-    between the two is meaningful. Limited to m + n <= 200 by policy.
+    Deliberately shares no code with the vectorized estimator so agreement
+    between the two is meaningful. Needs m, n >= 2; limited to m + n <= 200
+    by policy.
     """
     Xsa = as_features(Xs, "Xs")
     Xta = as_features(Xt, "Xt")
@@ -197,8 +197,7 @@ def brute_force_mmd2(Xs, Xt, k: KernelSpec, kind: MmdKind) -> float:
         raise InputError(
             f"brute-force reference is limited to m + n <= 200, got {m + n}"
         )
-    kind = MmdKind(kind)
-    if kind is MmdKind.UNBIASED and (m < 2 or n < 2):
+    if m < 2 or n < 2:
         raise InputError("unbiased estimator needs at least two samples per side")
     gamma = k.gamma
     rows_s = Xsa.tolist()
@@ -216,32 +215,17 @@ def brute_force_mmd2(Xs, Xt, k: KernelSpec, kind: MmdKind) -> float:
         for b in rows_t:
             s_st += kval(a, b)
 
-    if kind is MmdKind.UNBIASED:
-        s_ss = 0.0
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    s_ss += kval(rows_s[i], rows_s[j])
-        s_tt = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    s_tt += kval(rows_t[i], rows_t[j])
-        return (
-            s_ss / (m * (m - 1))
-            + s_tt / (n * (n - 1))
-            - 2.0 * s_st / (m * n)
-        )
-
     s_ss = 0.0
-    for a in rows_s:
-        for b in rows_s:
-            s_ss += kval(a, b)
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                s_ss += kval(rows_s[i], rows_s[j])
     s_tt = 0.0
-    for a in rows_t:
-        for b in rows_t:
-            s_tt += kval(a, b)
-    return max(0.0, s_ss / (m * m) + s_tt / (n * n) - 2.0 * s_st / (m * n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                s_tt += kval(rows_t[i], rows_t[j])
+    return s_ss / (m * (m - 1)) + s_tt / (n * (n - 1)) - 2.0 * s_st / (m * n)
 
 
 def expansion_value(expansion: KernelExpansion, X, k: KernelSpec) -> np.ndarray:

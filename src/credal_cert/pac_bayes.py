@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
-from .mmd import MmdEstimate, MmdKind, concentration_width
+from .mmd import MmdEstimate, concentration_width
 from .validation import (
     as_vector,
     check_count,
@@ -108,13 +108,11 @@ def finite_sample_bound(
     upper = emp_risk + sqrt((kl + ln(4 sqrt(n)/delta)) / (2n))
           + l_h * (est.mmd + concentration_width(est.m, est.n, delta / 2)).
 
-    Requires delta in (0, 1/2) and an unbiased estimate; the labeled count
-    n = c.n_labeled is independent of the MMD sample counts est.m, est.n.
+    Requires delta in (0, 1/2); the labeled count n = c.n_labeled is
+    independent of the MMD sample counts est.m, est.n.
     """
     emp = check_finite(emp_risk, "emp_risk")
     l_h = check_nonnegative(l_h, "l_h")
-    if est.kind is not MmdKind.UNBIASED:
-        raise InputError("finite-sample bound requires an unbiased MMD estimate")
     if not c.delta < 0.5:
         raise InputError(
             f"finite-sample bound requires delta in (0, 1/2), got {c.delta}"

@@ -98,18 +98,17 @@ class ConcentrationExperiment:
     seed: int = 0
 
     def run(self) -> list[CheckRow]:
-        check_count(self.trials, "trials")
-        for a in self.alphas:
-            check_probability(a, "alpha")
+        trials = check_count(self.trials, "trials")
+        alphas = [check_probability(a, "alpha") for a in self.alphas]
         target = math.sqrt(analytic_mmd2(self.scenario))
         rows = []
         for m, n in self.pairs:
-            deviations = np.empty(self.trials)
-            for i, s in enumerate(_trial_seeds(self.seed, self.trials)):
+            deviations = np.empty(trials)
+            for i, s in enumerate(_trial_seeds(self.seed, trials)):
                 Xs, Xt = sample_scenario(self.scenario.with_seed(s), m, n)
                 est = mmd2_unbiased(Xs, Xt, self.scenario.kernel_spec())
                 deviations[i] = abs(est.mmd - target)
-            for alpha in self.alphas:
+            for alpha in alphas:
                 width = concentration_width(m, n, alpha)
                 freq = float(np.mean(deviations > width))
                 rows.append(
@@ -137,18 +136,16 @@ class CoverageExperiment:
     seed: int = 0
 
     def run(self) -> list[CheckRow]:
-        check_count(self.trials, "trials")
-        check_probability(self.delta, "delta")
-        check_count(self.expansion_size, "expansion_size")
+        trials = check_count(self.trials, "trials")
+        delta = check_probability(self.delta, "delta")
+        expansion_size = check_count(self.expansion_size, "expansion_size")
         root = np.random.SeedSequence(self.seed)
         expansion_seed, risk_seed, trial_root = root.spawn(3)
         rng = np.random.Generator(np.random.PCG64(expansion_seed))
         spread = math.sqrt(max(self.scenario.var_s, self.scenario.var_t)) * 1.5
         mid = 0.5 * (self.scenario.mean_s + self.scenario.mean_t)
-        centers = mid + spread * rng.standard_normal(
-            (self.expansion_size, self.scenario.d)
-        )
-        weights = rng.uniform(0.0, 1.0 / self.expansion_size, self.expansion_size)
+        centers = mid + spread * rng.standard_normal((expansion_size, self.scenario.d))
+        weights = rng.uniform(0.0, 1.0 / expansion_size, expansion_size)
         expansion = KernelExpansion(centers=centers, weights=weights)
         kernel = self.scenario.kernel_spec()
         l_h = expansion_norm(expansion, kernel)
@@ -160,18 +157,18 @@ class CoverageExperiment:
         )
         ball = CredalSpec(epsilon=math.sqrt(analytic_mmd2(self.scenario)))
         complexity = PosteriorComplexity(
-            kl=0.0, n_labeled=self.n_labeled, delta=self.delta
+            kl=0.0, n_labeled=self.n_labeled, delta=delta
         )
         covered = 0
-        for s in _trial_seeds(trial_root, self.trials):
+        for s in _trial_seeds(trial_root, trials):
             scenario = self.scenario.with_seed(s)
             Xs, _ = sample_scenario(scenario, self.n_labeled, 1)
             emp = float(np.mean(expansion_value(expansion, Xs, kernel)))
             if risk_interval(emp, complexity, l_h, ball).upper >= true_risk:
                 covered += 1
-        rate = covered / self.trials
+        rate = covered / trials
         return [
-            _check("coverage_rate", rate, ">=", 1.0 - self.delta),
+            _check("coverage_rate", rate, ">=", 1.0 - delta),
             _check("target_risk_mc_se", risk_se, "<=", 1e-3),
         ]
 
@@ -189,17 +186,19 @@ class GeometryExperiment:
     seed: int = 0
 
     def run(self) -> list[CheckRow]:
-        check_count(self.trials, "trials")
+        trials = check_count(self.trials, "trials")
+        m = check_count(self.m, "m")
+        n = check_count(self.n, "n")
         kernel = self.scenario.kernel_spec()
         holds = 0
-        for s in _trial_seeds(self.seed, self.trials):
+        for s in _trial_seeds(self.seed, trials):
             scenario = self.scenario.with_seed(s)
-            Xs, Xt = sample_scenario(scenario, self.m + 1, self.n)
+            Xs, Xt = sample_scenario(scenario, m + 1, n)
             report = geodesic_distortion(Xs[:1], Xs[1:], Xt, kernel, self.c_w)[0]
             tolerance = self.remainder_coef * report.epsilon_bar**2
             if report.lhs_estimate <= report.rhs_bound + tolerance:
                 holds += 1
-        rate = holds / self.trials
+        rate = holds / trials
         return [_check("bound_holds_rate", rate, ">=", 0.95)]
 
 

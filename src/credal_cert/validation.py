@@ -60,10 +60,10 @@ def _as_float(value, name: str) -> float:
         raise InputError(f"{name}: must be a number, got {value!r}") from None
 
 
-def check_probability(value: float, name: str, *, open_upper: float = 1.0) -> float:
+def check_probability(value: float, name: str) -> float:
     value = _as_float(value, name)
-    if not np.isfinite(value) or not 0.0 < value < open_upper:
-        raise InputError(f"{name}: must lie in (0, {open_upper}), got {value!r}")
+    if not np.isfinite(value) or not 0.0 < value < 1.0:
+        raise InputError(f"{name}: must lie in (0, 1.0), got {value!r}")
     return value
 
 

@@ -608,3 +608,52 @@ def test_module_entry_no_args_exits_one():
     )
     assert proc.returncode == 1
     assert b"error" in proc.stderr
+
+
+def _simulate(tmp_path, capsys, payload):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(payload))
+    code = main(["simulate", str(path)])
+    return code, capsys.readouterr()
+
+
+def test_simulate_cli_string_delta_runs_like_the_number(tmp_path, capsys):
+    payload = {
+        "experiment": "coverage",
+        "trials": 3,
+        "n_labeled": 20,
+        "mc_samples": 10000,
+        "scenario": {
+            "d": 1,
+            "mean_s": 0.0,
+            "mean_t": 0.5,
+            "var_s": 1.0,
+            "var_t": 1.0,
+            "gamma": 1.0,
+        },
+    }
+    number = _simulate(tmp_path, capsys, {**payload, "delta": 0.1})
+    string = _simulate(tmp_path, capsys, {**payload, "delta": "0.1"})
+    assert number[0] in (0, 3) and number[1].err == ""
+    assert string == number
+
+
+def test_simulate_cli_geometry_fractional_m_names_the_value(tmp_path, capsys):
+    payload = {
+        "experiment": "geometry",
+        "trials": 2,
+        "m": 1.5,
+        "n": 20,
+        "scenario": {
+            "d": 1,
+            "mean_s": 0.0,
+            "mean_t": 0.0,
+            "var_s": 1.0,
+            "var_t": 1.0,
+            "gamma": 1.0,
+        },
+    }
+    code, captured = _simulate(tmp_path, capsys, payload)
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert "m: must be an integer, got 1.5" in captured.err

@@ -13,11 +13,9 @@ from credal_cert import (
     InputError,
     KernelSpec,
     MmdEstimate,
-    MmdKind,
     brute_force_mmd2,
     concentration_width,
     median_heuristic,
-    mmd2_biased,
     mmd2_unbiased,
     mmd_upper_confidence,
     permutation_calibrate,
@@ -53,29 +51,14 @@ def test_two_point_unbiased_value():
     est = mmd2_unbiased([[0.0], [0.0]], [[1.0], [1.0]], SPEC)
     assert est.mmd2 == TWO_POINT_MMD2
     assert est.mmd == math.sqrt(TWO_POINT_MMD2)
-    assert est.kind is MmdKind.UNBIASED
     assert (est.m, est.n) == (2, 2)
-
-
-def test_single_point_biased_value():
-    est = mmd2_biased([[0.0]], [[1.0]], SPEC)
-    assert est.mmd2 == TWO_POINT_MMD2
-    assert est.kind is MmdKind.BIASED
 
 
 @given(st.data())
 def test_unbiased_matches_brute_force(data):
     Xs, Xt = _pair(data.draw)
     est = mmd2_unbiased(Xs, Xt, SPEC)
-    ref = brute_force_mmd2(Xs, Xt, SPEC, MmdKind.UNBIASED)
-    assert abs(est.mmd2 - ref) <= 1e-12
-
-
-@given(st.data())
-def test_biased_matches_brute_force(data):
-    Xs, Xt = _pair(data.draw, min_rows=1)
-    est = mmd2_biased(Xs, Xt, SPEC)
-    ref = brute_force_mmd2(Xs, Xt, SPEC, MmdKind.BIASED)
+    ref = brute_force_mmd2(Xs, Xt, SPEC)
     assert abs(est.mmd2 - ref) <= 1e-12
 
 
@@ -83,15 +66,6 @@ def test_biased_matches_brute_force(data):
 def test_swap_symmetry_is_exact(data):
     Xs, Xt = _pair(data.draw)
     assert mmd2_unbiased(Xs, Xt, SPEC).mmd2 == mmd2_unbiased(Xt, Xs, SPEC).mmd2
-    assert mmd2_biased(Xs, Xt, SPEC).mmd2 == mmd2_biased(Xt, Xs, SPEC).mmd2
-
-
-def test_identical_sample_biased_is_exactly_zero():
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((8, 2))
-    assert mmd2_biased(X, X, SPEC).mmd2 == 0.0
-    assert mmd2_biased(X, X.copy(), SPEC).mmd2 == 0.0
-    assert mmd2_biased(X, X, SPEC).mmd == 0.0
 
 
 def test_identical_sample_unbiased_is_nonpositive():
@@ -135,7 +109,7 @@ def test_width_validation():
 
 
 def test_upper_confidence_frozen_value():
-    est = MmdEstimate(mmd2=0.09, mmd=0.3, kind=MmdKind.UNBIASED, m=200, n=200)
+    est = MmdEstimate(mmd2=0.09, mmd=0.3, m=200, n=200)
     assert mmd_upper_confidence(est, 0.05) == UCB_03_200_05
 
 

@@ -11,7 +11,6 @@ from credal_cert import (
     InputError,
     KernelExpansion,
     KernelSpec,
-    MmdKind,
     ShiftScenario,
     analytic_mixture_mmd2,
     analytic_mmd2,
@@ -107,12 +106,12 @@ def test_brute_force_policy_limit():
     Xs = np.zeros((150, 1))
     Xt = np.zeros((51, 1))
     with pytest.raises(InputError):
-        brute_force_mmd2(Xs, Xt, KernelSpec(gamma=1.0), MmdKind.UNBIASED)
+        brute_force_mmd2(Xs, Xt, KernelSpec(gamma=1.0))
 
 
 def test_brute_force_unbiased_needs_two_per_side():
     with pytest.raises(InputError):
-        brute_force_mmd2([[0.0]], [[1.0], [2.0]], KernelSpec(gamma=1.0), MmdKind.UNBIASED)
+        brute_force_mmd2([[0.0]], [[1.0], [2.0]], KernelSpec(gamma=1.0))
 
 
 def test_expansion_value_matches_gram_product():

@@ -16,7 +16,6 @@ from credal_cert import (
     CredalSpec,
     InputError,
     MmdEstimate,
-    MmdKind,
     PosteriorComplexity,
     complexity_term,
     concentration_width,
@@ -111,7 +110,7 @@ def test_zero_norm_ignores_shift():
 
 def test_finite_sample_bound_frozen_example():
     c = PosteriorComplexity(kl=0.0, n_labeled=100, delta=0.05)
-    est = MmdEstimate(mmd2=0.04, mmd=0.2, kind=MmdKind.UNBIASED, m=200, n=200)
+    est = MmdEstimate(mmd2=0.04, mmd=0.2, m=200, n=200)
     report = finite_sample_bound(0.1, c, 1.0, est)
     assert report.complexity_term == CT_FS_0_100_05
     assert report.upper_risk == FS_UPPER
@@ -125,7 +124,7 @@ def test_finite_sample_penalty_includes_width(data):
     m = data.draw(st.integers(2, 500))
     n = data.draw(st.integers(2, 500))
     mmd = data.draw(st.floats(0.0, 2.0))
-    est = MmdEstimate(mmd2=mmd * mmd, mmd=mmd, kind=MmdKind.UNBIASED, m=m, n=n)
+    est = MmdEstimate(mmd2=mmd * mmd, mmd=mmd, m=m, n=n)
     r = finite_sample_bound(emp, c, l_h, est)
     width = concentration_width(m, n, c.delta / 2.0)
     assert r.shift_penalty == l_h * (mmd + width)
@@ -134,7 +133,7 @@ def test_finite_sample_penalty_includes_width(data):
 
 def test_finite_sample_bound_dominates_population_at_same_mmd():
     c = PosteriorComplexity(kl=2.0, n_labeled=150, delta=0.1)
-    est = MmdEstimate(mmd2=0.04, mmd=0.2, kind=MmdKind.UNBIASED, m=100, n=100)
+    est = MmdEstimate(mmd2=0.04, mmd=0.2, m=100, n=100)
     fs = finite_sample_bound(0.2, c, 1.5, est)
     pop = population_report(0.2, c, 1.5, 0.2)
     assert fs.upper_risk > pop.upper_risk
@@ -142,16 +141,9 @@ def test_finite_sample_bound_dominates_population_at_same_mmd():
 
 def test_finite_sample_bound_requires_small_delta():
     c = PosteriorComplexity(kl=0.0, n_labeled=100, delta=0.6)
-    est = MmdEstimate(mmd2=0.0, mmd=0.0, kind=MmdKind.UNBIASED, m=10, n=10)
+    est = MmdEstimate(mmd2=0.0, mmd=0.0, m=10, n=10)
     # population form accepts delta in (0, 1)
     assert population_report(0.1, c, 1.0, 0.0).upper_risk > 0.0
-    with pytest.raises(InputError):
-        finite_sample_bound(0.1, c, 1.0, est)
-
-
-def test_finite_sample_bound_requires_unbiased_estimate():
-    c = PosteriorComplexity(kl=0.0, n_labeled=100, delta=0.05)
-    est = MmdEstimate(mmd2=0.04, mmd=0.2, kind=MmdKind.BIASED, m=10, n=10)
     with pytest.raises(InputError):
         finite_sample_bound(0.1, c, 1.0, est)
 
