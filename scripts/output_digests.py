@@ -10,8 +10,11 @@ equal to the source rows. Then runs certify, monitor (default and --window
 2), geometry (with and without --labels), calibrate and norm on every input
 set, in process through cli.main, and prints `name exit sha256` per command.
 certify, geometry, calibrate and norm also run once with the fixed bandwidth
-gamma = 0.5 (`*-gamma` lines; certify reads it from its config). The digest
-covers stdout and stderr.
+gamma = 0.5 (`*-gamma` lines; certify reads it from its config). certify
+also runs with a fixed radius epsilon = 0.05 (`*-certify-epsilon`), a user
+l_h = 2 (`*-certify-lh`), a config without r_max, alpha0 and calibration,
+so the radius is the upper confidence limit (`*-certify-bare`), and with
+--clamp-risk (`*-certify-clamp`). The digest covers stdout and stderr.
 
 Run it against two source trees and diff the output:
 
@@ -57,6 +60,11 @@ NUM_BATCHES = 10
 NUM_ANCHORS = 20
 # the fixed bandwidth of the *-gamma lines
 FIXED_GAMMA = 0.5
+# the fixed radius and loss norm of the certify-epsilon and certify-lh lines
+FIXED_EPSILON = 0.05
+FIXED_L_H = 2.0
+# config keys that only a permutation-calibrated radius accepts
+CALIBRATION_KEYS = ("epsilon", "num_permutations", "alpha", "seed")
 # the README quick-start config; monitor drops the permutation radius
 CONFIG = {
     "gamma": "median",
@@ -103,11 +111,7 @@ def write_seeded_inputs(out: Path, seed: int, m: int, n: int, d: int) -> None:
     (out / "labels.csv").write_text("\n".join(labels) + "\n")
     config = dict(CONFIG, seed=int(rng.integers(0, 2**31)))
     (out / "config.json").write_text(json.dumps(config))
-    monitor_config = {
-        k: v
-        for k, v in config.items()
-        if k not in ("epsilon", "num_permutations", "alpha", "seed")
-    }
+    monitor_config = {k: v for k, v in config.items() if k not in CALIBRATION_KEYS}
     (out / "monitor_config.json").write_text(json.dumps(monitor_config))
 
 
@@ -117,10 +121,21 @@ def write_fixture_inputs(out: Path) -> None:
     shutil.copyfile(FIXTURE_DIR / "config.json", out / "monitor_config.json")
 
 
-def write_fixed_gamma_config(out: Path) -> None:
+def write_variant_configs(out: Path) -> None:
+    """The certify configs of the *-gamma, *-epsilon, *-lh and *-bare lines."""
     config = json.loads((out / "config.json").read_text())
-    config["gamma"] = FIXED_GAMMA
-    (out / "gamma_config.json").write_text(json.dumps(config))
+    uncalibrated = {k: v for k, v in config.items() if k not in CALIBRATION_KEYS}
+    estimated = {k: v for k, v in config.items() if k != "lambda"}
+    variants = {
+        "gamma_config.json": dict(config, gamma=FIXED_GAMMA),
+        "epsilon_config.json": dict(uncalibrated, epsilon=FIXED_EPSILON),
+        "lh_config.json": dict(estimated, l_h=FIXED_L_H),
+        "bare_config.json": {
+            k: v for k, v in uncalibrated.items() if k not in ("r_max", "alpha0")
+        },
+    }
+    for name, variant in variants.items():
+        (out / name).write_text(json.dumps(variant))
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -131,18 +146,23 @@ def commands() -> list[tuple[str, list[str]]]:
     calibrate = ["calibrate", src, tgt]
     norm = ["norm", src, losses]
     gamma = ["--gamma", repr(FIXED_GAMMA)]
+    certify = ["certify", src, losses, tgt]
     return [
-        ("certify", ["certify", src, losses, tgt, "config.json"]),
+        ("certify", certify + ["config.json"]),
         ("monitor", monitor),
         ("monitor-window2", monitor + ["--window", "2"]),
         ("geometry", geometry),
         ("geometry-labels", geometry + ["--labels", "labels.csv"]),
         ("calibrate", calibrate),
         ("norm", norm),
-        ("certify-gamma", ["certify", src, losses, tgt, "gamma_config.json"]),
+        ("certify-gamma", certify + ["gamma_config.json"]),
         ("geometry-gamma", geometry + gamma),
         ("calibrate-gamma", calibrate + gamma),
         ("norm-gamma", norm + gamma),
+        ("certify-epsilon", certify + ["epsilon_config.json"]),
+        ("certify-lh", certify + ["lh_config.json"]),
+        ("certify-bare", certify + ["bare_config.json"]),
+        ("certify-clamp", certify + ["config.json", "--clamp-risk"]),
     ]
 
 
@@ -172,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
                 write_seeded_inputs(data, args.seed, *shape)
             else:
                 write_fixture_inputs(data)
-            write_fixed_gamma_config(data)
+            write_variant_configs(data)
             os.chdir(data)
             try:
                 for name, cmd in commands():

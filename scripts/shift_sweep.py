@@ -64,7 +64,6 @@ def sweep(cfg: SweepConfig, offsets: np.ndarray) -> list[dict]:
         eps = mmd_upper_confidence(est, cfg.delta)
         spec = CredalSpec(epsilon=eps, radius_source=RadiusSource.UPPER_CONFIDENCE)
         interval = risk_interval(cfg.emp_risk, c, cfg.l_h, spec)
-        decision = decide_adaptation(interval, cfg.r_max)
         rows.append(
             {
                 "offset": float(offset),
@@ -72,7 +71,7 @@ def sweep(cfg: SweepConfig, offsets: np.ndarray) -> list[dict]:
                 "mmd_hat": est.mmd,
                 "epsilon": eps,
                 "upper": interval.upper,
-                "verdict": decision.verdict.value,
+                "verdict": decide_adaptation(interval, cfg.r_max).value,
             }
         )
     return rows

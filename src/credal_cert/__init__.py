@@ -10,12 +10,12 @@ coverage level, plus closed-form Gaussian oracles for validation.
 from ._version import __version__
 from .conformal import CoveragePolicy, adaptive_alpha, coverage_increment
 from .credal import (
-    AdaptationDecision,
     CredalSpec,
     RadiusSource,
     RiskInterval,
     Verdict,
     decide_adaptation,
+    finite_sample_bound,
     risk_interval,
 )
 from .errors import (
@@ -69,14 +69,7 @@ from .oracles import (
     sample_scenario,
     true_target_risk,
 )
-from .pac_bayes import (
-    BoundKind,
-    BoundReport,
-    PosteriorComplexity,
-    complexity_term,
-    finite_sample_bound,
-    kl_diag_gaussians,
-)
+from .pac_bayes import PosteriorComplexity, complexity_term, kl_diag_gaussians
 from .pipeline import SourceState, certificate_body, prepare_source
 from .rkhs_norm import NormEstimate, estimate_rkhs_norm
 from .simulate import (
@@ -91,9 +84,6 @@ from .simulate import (
 
 __all__ = [
     "__version__",
-    "AdaptationDecision",
-    "BoundKind",
-    "BoundReport",
     "CalibrationResult",
     "CertifyConfig",
     "CheckRow",

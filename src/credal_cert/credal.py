@@ -1,9 +1,16 @@
 """Credal sets of distributions within an MMD ball around the source.
 
 A radius epsilon defines the set of distributions whose MMD to the source
-is at most epsilon. Risks over that set form an interval whose width,
-2 * complexity + 2 * l_h * epsilon, is constructed literally from that
-expression so the identity holds bitwise.
+is at most epsilon. Risks over that set form an interval
+
+    empirical risk -/+ complexity term -/+ l_h * epsilon,
+
+whose width, 2 * complexity + 2 * l_h * epsilon, is constructed literally
+from that expression so the identity holds bitwise. risk_interval is the
+only code that assembles this decomposition: the fully empirical
+finite-sample bound is the interval at the estimate's upper confidence
+radius. Risks are not clamped to [0, 1]: the raw bound value is the honest
+certificate, and display clamping is left to callers.
 """
 
 from __future__ import annotations
@@ -11,12 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .pac_bayes import (
-    BoundKind,
-    BoundReport,
-    PosteriorComplexity,
-    complexity_term,
-)
+from .errors import InputError
+from .mmd import MmdEstimate, mmd_upper_confidence
+from .pac_bayes import PosteriorComplexity, complexity_term
 from .validation import check_finite, check_nonnegative
 
 
@@ -50,20 +54,19 @@ class CredalSpec:
 
 @dataclass(frozen=True)
 class RiskInterval:
-    """Risk-imprecision interval over the credal set."""
+    """Risk-imprecision interval over the credal set, with its two terms.
 
+    upper = (empirical + complexity_term) + shift_penalty, lower mirrors it
+    downward, and width = 2 * complexity_term + 2 * shift_penalty, where
+    shift_penalty = l_h * epsilon.
+    """
+
+    complexity_term: float
+    shift_penalty: float
     lower: float
     upper: float
     width: float
     epsilon: float
-    components: BoundReport
-
-
-@dataclass(frozen=True)
-class AdaptationDecision:
-    verdict: Verdict
-    r_max: float
-    interval: RiskInterval
 
 
 def risk_interval(
@@ -81,26 +84,48 @@ def risk_interval(
     l_h = check_nonnegative(l_h, "l_h")
     ct = complexity_term(c)
     sp = l_h * spec.epsilon
-    upper = emp + ct + sp
-    lower = (emp - ct) - sp
-    report = BoundReport(
-        empirical_risk=emp,
+    return RiskInterval(
         complexity_term=ct,
         shift_penalty=sp,
-        upper_risk=upper,
-        lower_risk=lower,
-        kind=BoundKind.POPULATION,
-    )
-    return RiskInterval(
-        lower=lower,
-        upper=upper,
+        lower=(emp - ct) - sp,
+        upper=emp + ct + sp,
         width=2.0 * ct + 2.0 * sp,
         epsilon=spec.epsilon,
-        components=report,
     )
 
 
-def decide_adaptation(interval: RiskInterval, r_max: float) -> AdaptationDecision:
+def finite_sample_bound(
+    emp_risk: float,
+    c: PosteriorComplexity,
+    l_h: float,
+    est: MmdEstimate,
+) -> RiskInterval:
+    """Fully empirical bound: the risk interval at the upper confidence radius.
+
+    c.delta is split in half between the complexity term and the MMD
+    concentration width, so the radius is
+    epsilon = est.mmd + concentration_width(est.m, est.n, delta / 2) and
+
+        upper = emp_risk + sqrt((kl + ln(4 sqrt(n) / delta)) / (2n))
+              + l_h * epsilon.
+
+    Requires delta in (0, 1/2); the labeled count n = c.n_labeled is
+    independent of the MMD sample counts est.m, est.n.
+    """
+    if not c.delta < 0.5:
+        raise InputError(
+            f"finite-sample bound requires delta in (0, 1/2), got {c.delta}"
+        )
+    half = c.delta / 2.0
+    return risk_interval(
+        emp_risk,
+        PosteriorComplexity(kl=c.kl, n_labeled=c.n_labeled, delta=half),
+        l_h,
+        CredalSpec(epsilon=mmd_upper_confidence(est, half)),
+    )
+
+
+def decide_adaptation(interval: RiskInterval, r_max: float) -> Verdict:
     """Adaptation verdict from the risk interval against a risk tolerance.
 
     upper <= r_max: NoAdaptationNeeded (certificate meets tolerance, even
@@ -109,9 +134,7 @@ def decide_adaptation(interval: RiskInterval, r_max: float) -> AdaptationDecisio
     """
     r_max = check_finite(r_max, "r_max")
     if interval.upper <= r_max:
-        verdict = Verdict.NO_ADAPTATION_NEEDED
-    elif interval.lower > r_max:
-        verdict = Verdict.ADAPTATION_FUTILE
-    else:
-        verdict = Verdict.ADAPTATION_WARRANTED
-    return AdaptationDecision(verdict=verdict, r_max=r_max, interval=interval)
+        return Verdict.NO_ADAPTATION_NEEDED
+    if interval.lower > r_max:
+        return Verdict.ADAPTATION_FUTILE
+    return Verdict.ADAPTATION_WARRANTED

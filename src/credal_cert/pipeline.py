@@ -13,17 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import CoveragePolicy, adaptive_alpha, coverage_increment
-from .credal import CredalSpec, RadiusSource, decide_adaptation, risk_interval
+from .credal import (
+    CredalSpec,
+    RadiusSource,
+    decide_adaptation,
+    finite_sample_bound,
+    risk_interval,
+)
 from .errors import InputError
 from .io import CertifyConfig
 from .kernels import KernelSpec, gram_matrix, median_heuristic
 from .mmd import (
     concentration_width,
     mmd2_unbiased_from_source_sum,
-    mmd_upper_confidence,
     permutation_calibrate,
 )
-from .pac_bayes import PosteriorComplexity, finite_sample_bound
+from .pac_bayes import PosteriorComplexity
 from .rkhs_norm import NormEstimate, fit_rkhs_norm
 from .validation import as_features, as_vector
 
@@ -113,6 +118,10 @@ def certificate_body(
         state.features, Xt, state.kernel, state.gram_sum
     )
     mmd_width = concentration_width(est.m, est.n, cfg.delta / 2.0)
+    complexity = PosteriorComplexity(
+        kl=cfg.kl, n_labeled=cfg.n_labeled, delta=cfg.delta
+    )
+    bound = finite_sample_bound(state.emp_risk, complexity, state.l_h, est)
 
     calibration = None
     if cfg.calibrate:
@@ -130,13 +139,9 @@ def certificate_body(
         epsilon = cfg.epsilon
         radius_source = RadiusSource.USER_FIXED
     else:
-        epsilon = mmd_upper_confidence(est, cfg.delta / 2.0)
+        epsilon = bound.epsilon
         radius_source = RadiusSource.UPPER_CONFIDENCE
 
-    complexity = PosteriorComplexity(
-        kl=cfg.kl, n_labeled=cfg.n_labeled, delta=cfg.delta
-    )
-    bound = finite_sample_bound(state.emp_risk, complexity, state.l_h, est)
     interval = risk_interval(
         state.emp_risk,
         complexity,
@@ -166,9 +171,9 @@ def certificate_body(
         {
             "complexity_term": bound.complexity_term,
             "shift_penalty": bound.shift_penalty,
-            "upper_risk": bound.upper_risk,
-            "lower_risk": bound.lower_risk,
-            "bound_kind": bound.kind.value,
+            "upper_risk": bound.upper,
+            "lower_risk": bound.lower,
+            "bound_kind": "finite_sample",
             "epsilon": epsilon,
             "epsilon_source": radius_source.value,
         }
@@ -186,9 +191,8 @@ def certificate_body(
         }
     )
     if cfg.r_max is not None:
-        decision = decide_adaptation(interval, cfg.r_max)
-        cert["r_max"] = decision.r_max
-        cert["verdict"] = decision.verdict.value
+        cert["r_max"] = cfg.r_max
+        cert["verdict"] = decide_adaptation(interval, cfg.r_max).value
     if cfg.alpha0 is not None:
         policy = CoveragePolicy(
             alpha0=cfg.alpha0,

@@ -100,9 +100,10 @@ class ConcentrationExperiment:
     def run(self) -> list[CheckRow]:
         trials = check_count(self.trials, "trials")
         alphas = [check_probability(a, "alpha") for a in self.alphas]
+        pairs = [(check_count(m, "m"), check_count(n, "n")) for m, n in self.pairs]
         target = math.sqrt(analytic_mmd2(self.scenario))
         rows = []
-        for m, n in self.pairs:
+        for m, n in pairs:
             deviations = np.empty(trials)
             for i, s in enumerate(_trial_seeds(self.seed, trials)):
                 Xs, Xt = sample_scenario(self.scenario.with_seed(s), m, n)
@@ -296,7 +297,7 @@ def load_experiment(path, default_seed: int = 0):
             value = payload[key]
             if key == "pairs":
                 try:
-                    value = tuple((int(a), int(b)) for a, b in value)
+                    value = tuple((a, b) for a, b in value)
                 except (TypeError, ValueError) as exc:
                     raise InputError(
                         f"{origin}: 'pairs' must be a list of [m, n] pairs"

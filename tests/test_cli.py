@@ -657,3 +657,34 @@ def test_simulate_cli_geometry_fractional_m_names_the_value(tmp_path, capsys):
     assert code == 1
     assert captured.err.startswith("error: ")
     assert "m: must be an integer, got 1.5" in captured.err
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([[30.7, 40]], "m: must be an integer, got 30.7"),
+        ([[30, True]], "n: must be an integer, got True"),
+        ([[30, 40], ["30", 40]], "m: must be an integer, got '30'"),
+    ],
+)
+def test_simulate_cli_concentration_pair_sizes_name_the_value(
+    tmp_path, capsys, pairs, message
+):
+    payload = {
+        "experiment": "concentration",
+        "trials": 3,
+        "pairs": pairs,
+        "scenario": {
+            "d": 1,
+            "mean_s": 0.0,
+            "mean_t": 0.0,
+            "var_s": 1.0,
+            "var_t": 1.0,
+            "gamma": 1.0,
+        },
+    }
+    code, captured = _simulate(tmp_path, capsys, payload)
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err

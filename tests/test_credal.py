@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from credal_cert import (
-    BoundKind,
     CredalSpec,
     InputError,
     PosteriorComplexity,
@@ -50,15 +49,14 @@ def test_interval_frozen_example():
     assert iv.lower == IV_LOWER
     assert iv.width == IV_WIDTH
     assert iv.epsilon == 0.05
-    assert iv.components.kind is BoundKind.POPULATION
 
 
 @given(st.data())
 def test_width_identity_is_bitwise(data):
     emp, c, l_h, spec = draws(data.draw)
     iv = risk_interval(emp, c, l_h, spec)
-    ct = iv.components.complexity_term
-    sp = iv.components.shift_penalty
+    ct = iv.complexity_term
+    sp = iv.shift_penalty
     assert iv.width == 2.0 * ct + 2.0 * sp
     assert iv.width == 2.0 * (ct + sp)
     assert sp == l_h * spec.epsilon
@@ -78,8 +76,8 @@ def test_width_matches_endpoint_gap_to_a_few_ulps(data):
 def test_interval_endpoints_match_component_bound(data):
     emp, c, l_h, spec = draws(data.draw)
     iv = risk_interval(emp, c, l_h, spec)
-    assert iv.lower == iv.components.lower_risk
-    assert iv.upper == iv.components.upper_risk
+    assert iv.lower == (emp - iv.complexity_term) - iv.shift_penalty
+    assert iv.upper == (emp + iv.complexity_term) + iv.shift_penalty
     assert iv.lower <= iv.upper
 
 
@@ -95,20 +93,13 @@ def test_worst_case_dominates_population_bound_inside_ball(data):
 
 def test_decision_boundary_conventions():
     iv = risk_interval(0.3, C_FROZEN, 1.0, CredalSpec(epsilon=0.05))
-    assert decide_adaptation(iv, iv.upper).verdict is Verdict.NO_ADAPTATION_NEEDED
-    assert decide_adaptation(iv, iv.upper + 0.1).verdict is Verdict.NO_ADAPTATION_NEEDED
+    assert decide_adaptation(iv, iv.upper) is Verdict.NO_ADAPTATION_NEEDED
+    assert decide_adaptation(iv, iv.upper + 0.1) is Verdict.NO_ADAPTATION_NEEDED
     mid = 0.5 * (iv.lower + iv.upper)
-    assert decide_adaptation(iv, mid).verdict is Verdict.ADAPTATION_WARRANTED
-    assert decide_adaptation(iv, iv.lower).verdict is Verdict.ADAPTATION_WARRANTED
+    assert decide_adaptation(iv, mid) is Verdict.ADAPTATION_WARRANTED
+    assert decide_adaptation(iv, iv.lower) is Verdict.ADAPTATION_WARRANTED
     below = iv.lower - 0.01
-    assert decide_adaptation(iv, below).verdict is Verdict.ADAPTATION_FUTILE
-
-
-def test_decision_carries_interval_and_threshold():
-    iv = risk_interval(0.2, C_FROZEN, 1.0, CredalSpec(epsilon=0.1))
-    decision = decide_adaptation(iv, 0.9)
-    assert decision.r_max == 0.9
-    assert decision.interval is iv
+    assert decide_adaptation(iv, below) is Verdict.ADAPTATION_FUTILE
 
 
 def test_decision_rejects_non_finite_threshold():

@@ -1,7 +1,8 @@
 """Risk bounds: complexity term, population and finite-sample variants.
 
-The population bound is the component report of risk_interval at a radius
-epsilon equal to the (trusted) MMD.
+The population bound is risk_interval at a radius epsilon equal to the
+(trusted) MMD; the finite-sample bound is risk_interval at the estimate's
+upper confidence radius with delta halved.
 """
 
 from __future__ import annotations
@@ -9,10 +10,9 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from credal_cert import (
-    BoundKind,
     CredalSpec,
     InputError,
     MmdEstimate,
@@ -54,53 +54,52 @@ def test_complexity_term_frozen_values():
 
 
 def population_report(emp, c, l_h, mmd):
-    return risk_interval(emp, c, l_h, CredalSpec(epsilon=mmd)).components
+    return risk_interval(emp, c, l_h, CredalSpec(epsilon=mmd))
 
 
 def test_population_bound_frozen_example():
     c = PosteriorComplexity(kl=0.0, n_labeled=100, delta=0.05)
     report = population_report(0.1, c, 2.0, 0.05)
-    assert report.upper_risk == POP_UPPER
-    assert report.lower_risk == POP_LOWER
+    assert report.upper == POP_UPPER
+    assert report.lower == POP_LOWER
     assert report.shift_penalty == 0.1
-    assert report.kind is BoundKind.POPULATION
 
 
 def test_pac_lower_bound_frozen_value():
     # at zero radius the lower end is the complexity-only bound emp - ct
     c = PosteriorComplexity(kl=0.0, n_labeled=100, delta=0.05)
-    assert population_report(0.5, c, 1.0, 0.0).lower_risk == PAC_LOWER_HALF
+    assert population_report(0.5, c, 1.0, 0.0).lower == PAC_LOWER_HALF
 
 
 @given(st.data())
 def test_population_identity_is_exact(data):
     emp, c, l_h, mmd = draws(data.draw)
     r = population_report(emp, c, l_h, mmd)
-    assert r.upper_risk == (emp + r.complexity_term) + r.shift_penalty
-    assert r.lower_risk == (emp - r.complexity_term) - r.shift_penalty
-    assert r.lower_risk <= r.upper_risk
+    assert r.upper == (emp + r.complexity_term) + r.shift_penalty
+    assert r.lower == (emp - r.complexity_term) - r.shift_penalty
+    assert r.lower <= r.upper
     assert r.shift_penalty == l_h * mmd
 
 
 @given(st.data())
 def test_upper_risk_monotone(data):
     emp, c, l_h, mmd = draws(data.draw)
-    base = population_report(emp, c, l_h, mmd).upper_risk
+    base = population_report(emp, c, l_h, mmd).upper
     bigger_kl = PosteriorComplexity(c.kl + 1.0, c.n_labeled, c.delta)
-    assert population_report(emp, bigger_kl, l_h, mmd).upper_risk >= base
+    assert population_report(emp, bigger_kl, l_h, mmd).upper >= base
     smaller_delta = PosteriorComplexity(c.kl, c.n_labeled, c.delta / 2.0)
-    assert population_report(emp, smaller_delta, l_h, mmd).upper_risk >= base
-    assert population_report(emp, c, l_h + 0.5, mmd).upper_risk >= base
-    assert population_report(emp, c, l_h, mmd + 0.25).upper_risk >= base
-    assert population_report(emp + 0.1, c, l_h, mmd).upper_risk >= base
+    assert population_report(emp, smaller_delta, l_h, mmd).upper >= base
+    assert population_report(emp, c, l_h + 0.5, mmd).upper >= base
+    assert population_report(emp, c, l_h, mmd + 0.25).upper >= base
+    assert population_report(emp + 0.1, c, l_h, mmd).upper >= base
 
 
 def test_zero_shift_recovers_complexity_only_bound():
     c = PosteriorComplexity(kl=1.0, n_labeled=50, delta=0.1)
     report = population_report(0.3, c, 5.0, 0.0)
     assert report.shift_penalty == 0.0
-    assert report.upper_risk == 0.3 + complexity_term(c)
-    assert report.lower_risk == 0.3 - complexity_term(c)
+    assert report.upper == 0.3 + complexity_term(c)
+    assert report.lower == 0.3 - complexity_term(c)
 
 
 def test_zero_norm_ignores_shift():
@@ -113,9 +112,8 @@ def test_finite_sample_bound_frozen_example():
     est = MmdEstimate(mmd2=0.04, mmd=0.2, m=200, n=200)
     report = finite_sample_bound(0.1, c, 1.0, est)
     assert report.complexity_term == CT_FS_0_100_05
-    assert report.upper_risk == FS_UPPER
-    assert report.lower_risk == FS_LOWER
-    assert report.kind is BoundKind.FINITE_SAMPLE
+    assert report.upper == FS_UPPER
+    assert report.lower == FS_LOWER
 
 
 @given(st.data())
@@ -128,7 +126,37 @@ def test_finite_sample_penalty_includes_width(data):
     r = finite_sample_bound(emp, c, l_h, est)
     width = concentration_width(m, n, c.delta / 2.0)
     assert r.shift_penalty == l_h * (mmd + width)
-    assert r.upper_risk == (emp + r.complexity_term) + r.shift_penalty
+    assert r.upper == (emp + r.complexity_term) + r.shift_penalty
+
+
+@given(
+    emp=st.floats(-10.0, 10.0),
+    kl=st.floats(0.0, 1e6),
+    n_labeled=st.integers(1, 10**9),
+    # halving is exact down to 2**-1021, so 2 sqrt(n) / (delta / 2) rounds
+    # the same real number as 4 sqrt(n) / delta
+    delta=st.floats(2.0**-1021, 0.5, exclude_max=True),
+    l_h=st.floats(0.0, 100.0),
+    mmd=st.floats(0.0, 2.0),
+    m=st.integers(1, 10**9),
+    n=st.integers(1, 10**9),
+)
+@example(emp=0.1, kl=0.0, n_labeled=10**9, delta=2.0**-1021, l_h=1.0, mmd=0.2, m=1, n=1)
+@example(emp=0.1, kl=3.0, n_labeled=10**9, delta=1e-300, l_h=2.0, mmd=0.0, m=7, n=10**9)
+def test_finite_sample_bound_matches_written_out_formula(
+    emp, kl, n_labeled, delta, l_h, mmd, m, n
+):
+    c = PosteriorComplexity(kl=kl, n_labeled=n_labeled, delta=delta)
+    est = MmdEstimate(mmd2=mmd * mmd, mmd=mmd, m=m, n=n)
+    r = finite_sample_bound(emp, c, l_h, est)
+    ct = math.sqrt(
+        (kl + math.log(4.0 * math.sqrt(n_labeled) / delta)) / (2.0 * n_labeled)
+    )
+    sp = l_h * (mmd + concentration_width(m, n, delta / 2.0))
+    assert r.complexity_term == ct
+    assert r.shift_penalty == sp
+    assert r.upper == emp + ct + sp
+    assert r.lower == (emp - ct) - sp
 
 
 def test_finite_sample_bound_dominates_population_at_same_mmd():
@@ -136,14 +164,14 @@ def test_finite_sample_bound_dominates_population_at_same_mmd():
     est = MmdEstimate(mmd2=0.04, mmd=0.2, m=100, n=100)
     fs = finite_sample_bound(0.2, c, 1.5, est)
     pop = population_report(0.2, c, 1.5, 0.2)
-    assert fs.upper_risk > pop.upper_risk
+    assert fs.upper > pop.upper
 
 
 def test_finite_sample_bound_requires_small_delta():
     c = PosteriorComplexity(kl=0.0, n_labeled=100, delta=0.6)
     est = MmdEstimate(mmd2=0.0, mmd=0.0, m=10, n=10)
     # population form accepts delta in (0, 1)
-    assert population_report(0.1, c, 1.0, 0.0).upper_risk > 0.0
+    assert population_report(0.1, c, 1.0, 0.0).upper > 0.0
     with pytest.raises(InputError):
         finite_sample_bound(0.1, c, 1.0, est)
 
