@@ -1,10 +1,11 @@
 """Print one digest line per CLI command, for byte-identity checks.
 
-Writes the input fixtures of tests/data and three seeded input sets into a
+Writes the input fixtures of tests/data and four seeded input sets into a
 temporary directory: benchmark size (m = n = 2000, d = 10), an odd shape
 (m = 777, n = 333, d = 7) whose kernel matrices end in ragged row blocks,
-and a wide one (m = 300, n = 200, d = 128) whose inner products span many
-features.
+a wide one (m = 300, n = 200, d = 128) whose inner products span many
+features, and a tied one (m = 600, n = 400, d = 10, every feature rounded
+to one decimal) whose pooled distances hold many ties at the median.
 Each seeded set has a monitor stream of ten 50-row batches plus one batch
 equal to the source rows. Then runs certify, monitor (default and --window
 2), geometry (with and without --labels), calibrate and norm on every input
@@ -53,8 +54,14 @@ FIXTURE_INPUTS = [
     "labels.csv",
 ]
 
-# (label, m, n, d) of the seeded input sets
-SHAPES = [("bench", 2000, 2000, 10), ("odd", 777, 333, 7), ("wide", 300, 200, 128)]
+# (label, m, n, d, decimals the features are rounded to) of the seeded
+# input sets
+SHAPES = [
+    ("bench", 2000, 2000, 10, None),
+    ("odd", 777, 333, 7, None),
+    ("wide", 300, 200, 128, None),
+    ("tied", 600, 400, 10, 1),
+]
 BATCH_ROWS = 50
 NUM_BATCHES = 10
 NUM_ANCHORS = 20
@@ -87,7 +94,9 @@ def _csv(rows: np.ndarray) -> str:
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
 
-def write_seeded_inputs(out: Path, seed: int, m: int, n: int, d: int) -> None:
+def write_seeded_inputs(
+    out: Path, seed: int, m: int, n: int, d: int, decimals: int | None
+) -> None:
     rng = np.random.default_rng(seed)
     Xs = rng.standard_normal((m, d))
     Xt = 0.25 + math.sqrt(1.2) * rng.standard_normal((n, d))
@@ -97,8 +106,11 @@ def write_seeded_inputs(out: Path, seed: int, m: int, n: int, d: int) -> None:
         0.25 + math.sqrt(1.2) * rng.standard_normal((BATCH_ROWS, d))
         for _ in range(NUM_BATCHES)
     ]
-    batches.append(Xs)
     anchors = 0.125 + rng.standard_normal((NUM_ANCHORS, d))
+    if decimals is not None:
+        Xs, Xt, anchors = (np.round(A, decimals) for A in (Xs, Xt, anchors))
+        batches = [np.round(b, decimals) for b in batches]
+    batches.append(Xs)
     labels = ["rare" if i % 5 == 0 else "common" for i in range(NUM_ANCHORS)]
 
     (out / "source_features.csv").write_text(_csv(Xs))

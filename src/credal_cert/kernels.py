@@ -10,10 +10,16 @@ zero-padded to a multiple of _PAD rows, finished in its own buffer. Self,
 cross and pooled Gram matrices and the median heuristic therefore share
 bits: an entry depends only on its pair of rows, not on their positions,
 the call's shape or the BLAS thread count.
+
+The median heuristic selects the exact median of the pooled distances
+without partitioning all of them: a fixed sample of pairs brackets it, one
+pass over the product counts the pairs below the bracket and moves those
+inside it to the front of the same buffer, and only those are partitioned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,16 +98,17 @@ def _zero_padded(X: np.ndarray) -> np.ndarray:
     return Xp
 
 
-def _doubled_inner_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _doubled_inner_products(X: np.ndarray, Y: np.ndarray, out=None) -> np.ndarray:
     """2<x, y> for every pair of rows of X and Y, zero-padded to _PAD rows.
 
     One gemm, the only n_x * n_y allocation of a kernel call. Doubling Y is
     exact (barring overflow and subnormal products), so each entry is twice
     the undoubled product bit for bit and no pass over the result doubles
     it. The right operand is a fresh C-ordered copy, so numpy never takes
-    its syrk path for an array times its own transpose.
+    its syrk path for an array times its own transpose. out, if given, is
+    an earlier result of the same call, whose buffer is filled again.
     """
-    return _zero_padded(X) @ (2.0 * _zero_padded(Y)).T.copy()
+    return np.matmul(_zero_padded(X), (2.0 * _zero_padded(Y)).T.copy(), out=out)
 
 
 def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
@@ -147,10 +154,91 @@ def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
     return K
 
 
+# Squared norms above this may overflow a pooled squared distance.
+_LARGE_SQNORM = np.finfo(np.float64).max / 16
+
+# Pairs drawn to bracket the median once the pooled pairs outnumber them 4
+# to 1, below which a sample costs about what it saves. The bracket's
+# half-width in sample ranks is five standard deviations, sqrt(S) / 2 each,
+# of the rank of the sample median: it holds about 5 / sqrt(S), some 4%, of
+# the pairs and misses the median with odds of about 1e-6 per side.
+_SAMPLE_PAIRS = 1 << 14
+_SAMPLE_CHUNK = 1 << 10
+_BRACKET_RANKS = 5 * math.isqrt(_SAMPLE_PAIRS) // 2
+
+
+def _select_median(pooled, a, d2, lo, hi) -> float:
+    """Exact median of the distances of distinct pooled pairs.
+
+    d2 is the pooled product of _doubled_inner_products and a the row
+    squared norms. [lo, hi] is a guess expected to hold the two middle
+    order statistics; it affects only the work done. The buffer of d2 is
+    overwritten.
+    """
+    n = a.size
+    n_pairs = n * (n - 1) // 2
+    # the two middle ranks, equal when the count is odd
+    k1, k2 = (n_pairs - 1) // 2, n_pairs // 2
+    while True:
+        below, kept = _count_and_keep(d2, a, lo, hi)
+        if below <= k1 and k2 < below + kept:
+            break
+        # A miss opens the missed side, and the pass runs again on the
+        # product recomputed into the same buffer. An opened side cannot
+        # miss, and an unopened one keeps its count, so one repeat is the
+        # most there is (all distances are finite).
+        if k1 < below:
+            lo = -np.inf
+        if k2 >= below + kept:
+            hi = np.inf
+        _doubled_inner_products(pooled, pooled, out=d2)
+    candidates = d2.reshape(-1)[:kept]
+    candidates.partition([k1 - below, k2 - below])
+    # the mean of one or two middle values, as np.median takes it
+    return float(np.mean(candidates[k1 - below : k2 - below + 1]))
+
+
+def _count_and_keep(d2, a, lo, hi) -> tuple[int, int]:
+    """Count the pooled distances below lo; move those in [lo, hi] to the front.
+
+    Goes over the strict upper triangle of the distances finished from d2
+    by the row blocks of gram_matrix. Returns (count below lo, count kept);
+    the kept distances fill the start of d2's buffer. Pairs up to row i
+    fit before position (i + 1) * n, so no block is overwritten unread.
+    """
+    n = a.size
+    flat = d2.reshape(-1)
+    below = kept = 0
+    lower = None
+    for r0, r1 in _row_blocks(n, n):
+        t = _sq_dists_block(d2[r0:r1, r0:n], a[r0:r1], a[r0:])
+        r = r1 - r0
+        if lower is None:
+            lower = np.tri(r, dtype=bool)  # the first block is the tallest
+        # the block's diagonal and the pairs below it: NaN compares false
+        t[:, :r][lower[:r, :r]] = np.nan
+        low = t < lo
+        keep = t <= hi
+        keep ^= low  # lo <= hi, so low lies within t <= hi
+        below += np.count_nonzero(low)
+        k = np.count_nonzero(keep)
+        np.compress(keep.ravel(), t.ravel(), out=flat[kept : kept + k])
+        kept += k
+    return below, kept
+
+
 def median_heuristic(X, Y=None) -> KernelSpec:
     """Bandwidth from the median pairwise squared distance of the pooled sample.
 
-    gamma = 1 / (2 * median ||x - y||^2) over distinct pooled pairs.
+    gamma = 1 / (2 * median ||x - y||^2) over distinct pooled pairs, bitwise
+    what np.median gives over the strict upper triangle of the pooled
+    distances. The median is selected exactly without partitioning every
+    pair: a fixed sample of pairs brackets it, one pass over the pooled
+    product counts the pairs below the bracket and keeps those inside it,
+    and only the kept pairs are partitioned (Floyd and Rivest, "Expected
+    time bounds for selection", CACM 1975). A bracket that misses the median
+    is opened on the missed side and the pass repeated, so the result never
+    depends on the sample.
 
     Parameters
     ----------
@@ -164,6 +252,9 @@ def median_heuristic(X, Y=None) -> KernelSpec:
 
     Raises
     ------
+    InputError
+        If fewer than two rows are pooled, or if a pooled squared distance
+        overflows float64.
     DegenerateBandwidthError
         If the median distance is zero (all points coincide pairwise).
     """
@@ -177,22 +268,39 @@ def median_heuristic(X, Y=None) -> KernelSpec:
     n = pooled.shape[0]
     if n < 2:
         raise InputError("median heuristic needs at least two pooled samples")
-    # the pooled Gram's own distances, finished inside its product buffer
-    d2 = _doubled_inner_products(pooled, pooled)
-    a = _row_sqnorms(pooled)
-    # the distinct pairs, row by row, moved to the front of the same buffer:
-    # the strict upper triangle in numpy's triu_indices order. Row i's pairs
-    # end before position (i + 1) * n, so no later block is overwritten
-    # unread.
-    flat = d2.reshape(-1)
-    pos = 0
-    for r0, r1 in _row_blocks(n, n):
-        t = _sq_dists_block(d2[r0:r1, r0:n], a[r0:r1], a[r0:])
-        for i in range(r1 - r0):
-            row = t[i, i + 1 :]
-            flat[pos : pos + row.size] = row
-            pos += row.size
-    med = float(np.median(flat[:pos], overwrite_input=True))
+    # the pooled Gram's own distances, finished inside its product buffer;
+    # overflow there is reported below as an error, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _row_sqnorms(pooled)
+        d2 = _doubled_inner_products(pooled, pooled)
+        # a distance is at most 2 (a_i + a_j) up to rounding, so only a
+        # pair with a squared norm above _LARGE_SQNORM can overflow; such a
+        # row's distances are checked whole (d2 is symmetric bitwise)
+        for i in np.flatnonzero(a > _LARGE_SQNORM):
+            row = (a[i] + a) - d2[i, :n]
+            row[i] = 0.0
+            if not np.isfinite(row).all():
+                raise InputError(
+                    "median heuristic: pooled squared distances overflow "
+                    "float64; rescale the features"
+                )
+    lo, hi = -np.inf, np.inf
+    if n * (n - 1) // 2 > 4 * _SAMPLE_PAIRS:
+        # a fixed draw of pairs i != j, finished as the pass finishes them;
+        # drawn in chunks so that no index array outgrows a small heap block
+        rng = np.random.default_rng(0)
+        s = np.empty(_SAMPLE_PAIRS)
+        for c in range(0, _SAMPLE_PAIRS, _SAMPLE_CHUNK):
+            i = rng.integers(0, n, _SAMPLE_CHUNK)
+            j = rng.integers(0, n - 1, _SAMPLE_CHUNK)
+            j += j >= i
+            s[c : c + _SAMPLE_CHUNK] = (a[i] + a[j]) - d2[i, j]
+        np.maximum(s, 0.0, out=s)
+        half = _SAMPLE_PAIRS // 2
+        ranks = [half - _BRACKET_RANKS, half + _BRACKET_RANKS]
+        s.partition(ranks)
+        lo, hi = float(s[ranks[0]]), float(s[ranks[1]])
+    med = _select_median(pooled, a, d2, lo, hi)
     if med <= 0.0:
         raise DegenerateBandwidthError(
             "median pairwise distance is zero; cannot infer a bandwidth"

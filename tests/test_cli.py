@@ -195,6 +195,34 @@ def test_certify_degenerate_bandwidth_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_median_bandwidth_overflow_exits_one(tmp_path, scale):
+    # 1e160 gives NaN pooled distances; 1e200 on the axes, one sample
+    # positive and one negative, gives inf ones and an inf median. A
+    # subprocess, so that a selection that never ends fails the test.
+    rng = np.random.default_rng(0)
+    if scale == 1e160:
+        samples = [scale * rng.standard_normal((200, 3)) for _ in range(2)]
+    else:
+        samples = [scale * np.eye(200), -scale * np.eye(200)]
+    paths = [tmp_path / "s.csv", tmp_path / "t.csv"]
+    for path, rows in zip(paths, samples):
+        path.write_text(
+            "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        )
+    proc = subprocess.run(
+        [sys.executable, "-m", "credal_cert", "calibrate", *map(str, paths)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "overflow" in lines[0]
+
+
 def test_bad_flags_exit_one(capsys):
     assert main(["certify", SOURCE, LOSSES, TARGET, CONFIG, "--seed", "-1"]) == 1
     assert main(["transmogrify"]) == 1

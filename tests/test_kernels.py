@@ -22,6 +22,7 @@ from credal_cert import (
     gram_matrix,
     median_heuristic,
 )
+from credal_cert import kernels
 from credal_cert.kernels import _zero_padded
 
 # frozen closed-form values
@@ -239,6 +240,116 @@ def test_median_heuristic_matches_triu_indices_median(n_x, n_y):
     n = pooled.shape[0]
     med = np.median(_reference_sq_dists(pooled, pooled)[np.triu_indices(n, 1)])
     assert median_heuristic(X, Y).gamma == 1.0 / (2.0 * med)
+
+
+# ------------------------------------- the median selected through a bracket
+
+
+def _reference_median(pooled):
+    n = pooled.shape[0]
+    return np.median(_reference_sq_dists(pooled, pooled)[np.triu_indices(n, 1)])
+
+
+def _two_clusters(rng, n):
+    # n = s * s rows split (s * s + s) / 2 + (s * s - s) / 2: exactly half
+    # the pairs lie within a cluster, so the two middle distances are the
+    # largest within-cluster one and the smallest across the gap
+    s = math.isqrt(n)
+    p = (n + s) // 2
+    return np.vstack(
+        [rng.standard_normal((p, 3)), 100.0 + rng.standard_normal((n - p, 3))]
+    )
+
+
+POOLED_KINDS = {
+    "normal": lambda rng, n: rng.standard_normal((n, 10)),
+    "rounded": lambda rng, n: np.round(rng.standard_normal((n, 10)), 1),
+    "binary": lambda rng, n: rng.integers(0, 2, (n, 10)).astype(float),
+    "clusters": _two_clusters,
+    "cauchy": lambda rng, n: rng.standard_cauchy((n, 4)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POOLED_KINDS))
+@pytest.mark.parametrize("n", [800, 900, 1202])
+def test_median_heuristic_bitwise_above_sampling_threshold(kind, n):
+    # 900 rows split into 465 + 435 for the clusters; 1202 rows give an odd
+    # pair count, 800 and 900 an even one
+    pooled = POOLED_KINDS[kind](np.random.default_rng([n, len(kind)]), n)
+    med = _reference_median(pooled)
+    assert median_heuristic(pooled).gamma == 1.0 / (2.0 * med)
+    # pooled across two samples at an uneven split
+    assert median_heuristic(pooled[:301], pooled[301:]).gamma == 1.0 / (2.0 * med)
+
+
+def test_two_clusters_put_the_median_in_the_gap():
+    pooled = _two_clusters(np.random.default_rng(0), 900)
+    d = np.sort(_reference_sq_dists(pooled, pooled)[np.triu_indices(900, 1)])
+    half = d.size // 2
+    assert d[half - 1] < 100.0 < 10_000.0 < d[half]
+
+
+@pytest.mark.parametrize("kind", sorted(POOLED_KINDS))
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_select_median_recovers_from_a_missed_bracket(kind, side, monkeypatch):
+    pooled = POOLED_KINDS[kind](np.random.default_rng(len(kind)), 801)
+    med = _reference_median(pooled)
+    lo, hi = (2.0 * med + 1.0, 3.0 * med + 1.0) if side == "above" else (0.0, med / 2)
+    passes = []
+    count_and_keep = kernels._count_and_keep
+
+    def counting(*args):
+        passes.append(count_and_keep(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(kernels, "_count_and_keep", counting)
+    a = kernels._row_sqnorms(pooled)
+    d2 = kernels._doubled_inner_products(pooled, pooled)
+    assert kernels._select_median(pooled, a, d2, lo, hi) == med
+    # the first pass misses, the second opens the missed side
+    assert len(passes) == 2
+    (below, kept), (below2, kept2) = passes
+    half = 801 * 800 // 4
+    if side == "above":
+        assert below > half and below2 == 0
+    else:
+        assert below + kept <= half and below2 + kept2 == 2 * half
+
+
+_OVERFLOW = """
+import sys
+import numpy as np
+from credal_cert import InputError, median_heuristic
+
+rng = np.random.default_rng(0)
+if sys.argv[1] == "nan":
+    # inf - inf in the products: NaN distances, on the sampled path
+    X, Y = (1e160 * rng.standard_normal((300, 3)) for _ in range(2))
+elif sys.argv[1] == "inf":
+    # squared norms overflow, inner products do not: every distance is inf
+    X, Y = 1e200 * np.eye(400), None
+else:
+    # one far row among ordinary ones: its distances alone overflow
+    X, Y = np.vstack([rng.standard_normal((500, 3)), [[1e200, 0.0, 0.0]]]), None
+try:
+    median_heuristic(X, Y)
+except InputError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "one-row"])
+def test_median_heuristic_rejects_overflowing_distances(case):
+    # a subprocess, so that a selection that never ends fails the test
+    proc = subprocess.run(
+        [sys.executable, "-c", _OVERFLOW, case],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "overflow" in proc.stdout
+    assert proc.stderr == ""
 
 
 # ------------------------------ entries depend only on their pair of rows

@@ -60,3 +60,12 @@ def test_pooled_median_heuristic_peak(samples):
     X, Y = samples
     pooled_bytes = (2 * N) ** 2 * 8
     assert _peak_matrices(lambda: median_heuristic(X, Y), pooled_bytes) <= 1.25
+
+
+def test_tied_pooled_median_heuristic_peak():
+    # 0/1 features: distances are small integers, so the pairs tied with
+    # the median, all kept for the final partition, are a large share
+    rng = np.random.default_rng(2)
+    X, Y = (rng.integers(0, 2, (N, 10)).astype(float) for _ in range(2))
+    pooled_bytes = (2 * N) ** 2 * 8
+    assert _peak_matrices(lambda: median_heuristic(X, Y), pooled_bytes) <= 1.25

@@ -1,10 +1,12 @@
 """Work done once per command stays done once: the shared geometry MMD and
-the monitor session's source self-Gram."""
+the monitor session's source self-Gram; and the pooled median partitions
+only the pairs its bracket keeps."""
 
 from __future__ import annotations
 
 import importlib
 import json
+import math
 import pkgutil
 
 import numpy as np
@@ -62,3 +64,19 @@ def test_monitor_builds_the_source_gram_once(monkeypatch, capsys):
     assert len(records) == 4
     m = np.loadtxt(SOURCE, delimiter=",", skiprows=1).shape[0]
     assert sum(1 for K in grams if K.shape == (m, m)) == 1
+
+
+def test_median_partitions_few_pooled_pairs(monkeypatch):
+    # benchmark-shaped: m = n = 2000, d = 10, the target shifted and widened
+    rng = np.random.default_rng(0)
+    Xs = rng.standard_normal((2000, 10))
+    Xt = 0.25 + math.sqrt(1.2) * rng.standard_normal((2000, 10))
+    passes = []
+    monkeypatch.setattr(
+        kernels, "_count_and_keep", _counting(kernels._count_and_keep, passes)
+    )
+    kernels.median_heuristic(Xs, Xt)
+    n_pairs = 4000 * 3999 // 2
+    assert len(passes) == 1
+    below, kept = passes[0]
+    assert kept <= 0.05 * n_pairs
