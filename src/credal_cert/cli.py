@@ -220,9 +220,10 @@ def _cmd_monitor(args) -> int:
                     )
                 )
                 _stamp(record, digests)
+                text = record_text(record)
             except (InputError, NumericalError) as exc:
-                record = {"batch_seq": batch_seq, "error": str(exc)}
-            out.write(record_text(record))
+                text = record_text({"batch_seq": batch_seq, "error": str(exc)})
+            out.write(text)
             out.flush()
     finally:
         if close_stream:

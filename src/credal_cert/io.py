@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, NumericalError, ParseError
 from .pac_bayes import kl_diag_gaussians
 
 CONFIG_KEYS = {
@@ -337,11 +337,27 @@ def load_config(path: str | Path) -> CertifyConfig:
     )
 
 
+def _strict_json(cert: dict, **kwargs) -> str:
+    """json.dumps without NaN or Infinity, which strict JSON cannot hold."""
+    try:
+        return json.dumps(cert, allow_nan=False, **kwargs) + "\n"
+    except ValueError:
+        raise NumericalError(
+            "a computed value is not finite; the output would not be valid JSON"
+        ) from None
+
+
 def certificate_text(cert: dict) -> str:
-    """Pretty JSON for a single certificate (full-precision floats)."""
-    return json.dumps(cert, indent=2) + "\n"
+    """Pretty JSON for a single certificate (full-precision floats).
+
+    Raises NumericalError if a value is NaN or infinite.
+    """
+    return _strict_json(cert, indent=2)
 
 
 def record_text(cert: dict) -> str:
-    """One-line JSON for a streaming record."""
-    return json.dumps(cert, separators=(",", ":")) + "\n"
+    """One-line JSON for a streaming record.
+
+    Raises NumericalError if a value is NaN or infinite.
+    """
+    return _strict_json(cert, separators=(",", ":"))

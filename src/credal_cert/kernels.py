@@ -9,7 +9,9 @@ Every inner product comes from one path: a single gemm on both operands
 zero-padded to a multiple of _PAD rows, finished in its own buffer. Self,
 cross and pooled Gram matrices and the median heuristic therefore share
 bits: an entry depends only on its pair of rows, not on their positions,
-the call's shape or the BLAS thread count.
+the call's shape or the BLAS thread count. The same path rejects features
+whose squared distances overflow float64, with an InputError, checking
+only rows whose squared norm is large enough to overflow one.
 
 The median heuristic selects the exact median of the pooled distances
 without partitioning all of them: a fixed sample of pairs brackets it, one
@@ -105,13 +107,60 @@ def _doubled_inner_products(X: np.ndarray, Y: np.ndarray, out=None) -> np.ndarra
     exact (barring overflow and subnormal products), so each entry is twice
     the undoubled product bit for bit and no pass over the result doubles
     it. The right operand is a fresh C-ordered copy, so numpy never takes
-    its syrk path for an array times its own transpose. out, if given, is
-    an earlier result of the same call, whose buffer is filled again.
+    its syrk path for an array times its own transpose. out, if given, is a
+    C-contiguous buffer with room for the padded product, which fills its
+    leading entries.
     """
-    return np.matmul(_zero_padded(X), (2.0 * _zero_padded(Y)).T.copy(), out=out)
+    Xp, Yp = _zero_padded(X), _zero_padded(Y)
+    if out is not None:
+        shape = (Xp.shape[0], Yp.shape[0])
+        out = out.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+    return np.matmul(Xp, (2.0 * Yp).T.copy(), out=out)
 
 
-def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
+# Squared norms above this may overflow a pooled squared distance: a
+# distance is at most 2 (a_i + b_j) up to rounding, so rows at or below it
+# can overflow nothing.
+_LARGE_SQNORM = np.finfo(np.float64).max / 16
+
+
+def _checked_product(X, Y, same: bool, out=None) -> np.ndarray:
+    """_doubled_inner_products(X, Y, out), or InputError if a distance overflows.
+
+    same says that X and Y are one sample, whose diagonal is not checked.
+    Only rows with a squared norm above _LARGE_SQNORM can overflow a
+    distance. An operand whose whole sum of squares stays below it has none,
+    which one dot product shows; otherwise such rows are finished and
+    checked, under an errstate entered for them alone.
+    """
+    if np.vdot(X, X) <= _LARGE_SQNORM and (same or np.vdot(Y, Y) <= _LARGE_SQNORM):
+        return _doubled_inner_products(X, Y, out)
+    a, b = _row_sqnorms(X), _row_sqnorms(Y)
+    finite = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _doubled_inner_products(X, Y, out)
+        for i in np.flatnonzero(a > _LARGE_SQNORM):
+            d2 = (a[i] + b) - G[i, : b.size]
+            if same:
+                d2[i] = 0.0
+            finite &= bool(np.isfinite(d2).all())
+        # a self product is symmetric bitwise, so its rows cover its columns
+        for j in [] if same else np.flatnonzero(b > _LARGE_SQNORM):
+            finite &= bool(np.isfinite((a + b[j]) - G[: a.size, j]).all())
+    if not finite:
+        raise InputError(
+            "squared distances between the feature rows overflow float64; "
+            "rescale the features"
+        )
+    return G
+
+
+def padded_entries(n_x: int, n_y: int) -> int:
+    """Entries of the buffer gram_matrix builds an n_x x n_y matrix in."""
+    return (n_x + -n_x % _PAD) * (n_y + -n_y % _PAD)
+
+
+def gram_matrix(X, Y, spec: KernelSpec, out=None) -> np.ndarray:
     """Kernel matrix with entry (i, j) = exp(-gamma * ||X[i] - Y[j]||^2).
 
     Parameters
@@ -121,6 +170,10 @@ def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
         Pass None (or the same data as X) for the self-Gram, whose diagonal
         is pinned to exactly 1.0.
     spec : KernelSpec
+    out : float64 ndarray, optional
+        A C-contiguous buffer of at least padded_entries(n_x, n_y) entries
+        to build the matrix in; the result is then a view of its leading
+        n_x * n_y entries. Several matrices can so share one allocation.
 
     Returns
     -------
@@ -131,6 +184,11 @@ def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
         rows. The matrix lives in the buffer of one padded product, finished
         in place by cache-sized row blocks, so the call peaks at little more
         than the result's size.
+
+    Raises
+    ------
+    InputError
+        If a squared distance between rows of X and Y overflows float64.
     """
     Xa = as_features(X, "X")
     if Y is None:
@@ -139,7 +197,8 @@ def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
         Ya = as_features(Y, "Y")
         check_same_dim(Xa, Ya, "X", "Y")
     n_x, n_y = Xa.shape[0], Ya.shape[0]
-    G = _doubled_inner_products(Xa, Ya)
+    same = Y is None or np.array_equal(Xa, Ya)
+    G = _checked_product(Xa, Ya, same, out)
     a, b = _row_sqnorms(Xa), _row_sqnorms(Ya)
     # each block's unpadded place starts at or before its padded one, so
     # finished rows never overwrite rows that are still to be read
@@ -149,13 +208,10 @@ def gram_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
         t *= -spec.gamma
         np.exp(t, out=flat[r0 * n_y : r1 * n_y].reshape(r1 - r0, n_y))
     K = flat[: n_x * n_y].reshape(n_x, n_y)
-    if Y is None or np.array_equal(Xa, Ya):
+    if same:
         np.fill_diagonal(K, 1.0)
     return K
 
-
-# Squared norms above this may overflow a pooled squared distance.
-_LARGE_SQNORM = np.finfo(np.float64).max / 16
 
 # Pairs drawn to bracket the median once the pooled pairs outnumber them 4
 # to 1, below which a sample costs about what it saves. The bracket's
@@ -213,6 +269,14 @@ def _count_and_keep(d2, a, lo, hi) -> tuple[int, int]:
     for r0, r1 in _row_blocks(n, n):
         t = _sq_dists_block(d2[r0:r1, r0:n], a[r0:r1], a[r0:])
         r = r1 - r0
+        if lo == -np.inf and hi == np.inf:
+            # an open bracket keeps every pair: copy the rows past the
+            # diagonal as they are, with no mask to build and compress
+            for i in range(r):
+                row = t[i, i + 1 :]
+                flat[kept : kept + row.size] = row
+                kept += row.size
+            continue
         if lower is None:
             lower = np.tri(r, dtype=bool)  # the first block is the tallest
         # the block's diagonal and the pairs below it: NaN compares false
@@ -268,22 +332,9 @@ def median_heuristic(X, Y=None) -> KernelSpec:
     n = pooled.shape[0]
     if n < 2:
         raise InputError("median heuristic needs at least two pooled samples")
-    # the pooled Gram's own distances, finished inside its product buffer;
-    # overflow there is reported below as an error, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = _row_sqnorms(pooled)
-        d2 = _doubled_inner_products(pooled, pooled)
-        # a distance is at most 2 (a_i + a_j) up to rounding, so only a
-        # pair with a squared norm above _LARGE_SQNORM can overflow; such a
-        # row's distances are checked whole (d2 is symmetric bitwise)
-        for i in np.flatnonzero(a > _LARGE_SQNORM):
-            row = (a[i] + a) - d2[i, :n]
-            row[i] = 0.0
-            if not np.isfinite(row).all():
-                raise InputError(
-                    "median heuristic: pooled squared distances overflow "
-                    "float64; rescale the features"
-                )
+    # the pooled Gram's own distances, finished inside its product buffer
+    d2 = _checked_product(pooled, pooled, True)
+    a = _row_sqnorms(pooled)
     lo, hi = -np.inf, np.inf
     if n * (n - 1) // 2 > 4 * _SAMPLE_PAIRS:
         # a fixed draw of pairs i != j, finished as the pass finishes them;

@@ -6,6 +6,11 @@ cross-block sum is the exact sum of its entries rounded once, the same
 float as math.fsum, so estimates are invariant under swapping the two
 samples, bit for bit. The self-block sums are still np.sum, whose rounding
 depends on the block shape.
+
+Permutation calibration keeps only the upper row panels of the pooled Gram
+(the diagonal blocks and everything right of them), since the matrix is
+symmetric: about N^2 / 2 + N * _PANEL_ROWS / 2 of its N^2 entries are
+built and held, and each batch of permutations multiplies only those.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, gram_matrix
+from .kernels import KernelSpec, gram_matrix, padded_entries
 from .validation import check_count, check_probability, validated_pair
 
 
@@ -177,24 +182,71 @@ def mmd_upper_confidence(est: MmdEstimate, alpha: float) -> float:
     return est.mmd + concentration_width(est.m, est.n, alpha)
 
 
+# Rows per panel of the pooled Gram: a multiple of kernels._PAD, so every
+# panel starts on a padded row. Up to this many pooled rows the one panel is
+# the whole matrix.
+_PANEL_ROWS = 1024
+
+
+def _pooled_panels(pooled: np.ndarray, spec: KernelSpec):
+    """Upper row panels of the pooled Gram, with its row sums and total.
+
+    Panel I holds rows e:e+r of the pooled Gram from column e on, so its
+    leading r x r block is the diagonal block K_II and the rest K_I,>I; the
+    blocks below the diagonal are never built. Row sums add each panel's
+    row sums and the column sums of its off-diagonal part, and the total
+    adds 2 sum(panel_I) - sum(K_II) per panel. With one panel both are the
+    full matrix's np.sum, bit for bit.
+    """
+    N = pooled.shape[0]
+    starts = range(0, N, _PANEL_ROWS)
+    sizes = [padded_entries(min(_PANEL_ROWS, N - e), N - e) for e in starts]
+    # one allocation for all panels: freed whole, it goes back to the system
+    # rather than staying in the heap as a few panel-sized holes
+    buffer = np.empty(sum(sizes))
+    bounds = np.cumsum([0] + sizes)
+    panels = []
+    row_sums = np.zeros(N)
+    total = 0.0
+    for e, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
+        panel = gram_matrix(
+            pooled[e : e + _PANEL_ROWS], pooled[e:], spec, out=buffer[lo:hi]
+        )
+        np.fill_diagonal(panel, 1.0)
+        r = panel.shape[0]
+        row_sums[e : e + r] += np.sum(panel, axis=1)
+        row_sums[e + r :] += np.sum(panel[:, r:], axis=0)
+        total += 2.0 * float(np.sum(panel)) - float(np.sum(panel[:, :r]))
+        panels.append(panel)
+    return panels, row_sums, total
+
+
 def _permutation_stats(
-    K: np.ndarray,
+    panels: list[np.ndarray],
     row_sums: np.ndarray,
     total: float,
     m: int,
     n: int,
     z: np.ndarray,
 ) -> np.ndarray:
-    # z: (m+n, b) 0/1 indicator columns marking the permuted source rows
-    g = K @ z
-    s_ss = np.einsum("ij,ij->j", z, g)
+    # z: (m+n, b) 0/1 indicator columns marking the permuted source rows;
+    # s_ss = sum_I z_I . (K_II z_I) + 2 sum_I z_I . (K_I,>I z_>I)
+    diagonal = np.zeros(z.shape[1])
+    off = np.zeros(z.shape[1])
+    for panel in panels:
+        r = panel.shape[0]
+        e = z.shape[0] - panel.shape[1]
+        z_i = z[e : e + r]
+        diagonal += np.einsum("ij,ij->j", z_i, panel[:, :r] @ z_i)
+        off += np.einsum("ij,ij->j", z_i, panel[:, r:] @ z[e + r :])
+    s_ss = diagonal + 2.0 * off
     s_sall = row_sums @ z
     s_st = s_sall - s_ss
     s_tt = total - 2.0 * s_sall + s_ss
     return _u_statistic(m, n, s_ss, s_tt, s_st)
 
 
-# permutations per K @ z product
+# permutations per batch of panel products
 _PERMUTATION_BATCH = 256
 
 
@@ -219,8 +271,12 @@ def permutation_calibrate(
       never exactly zero.
 
     Each permutation is generated from its own child of SeedSequence(seed),
-    so results are identical for any thread count. The pooled Gram matrix is
-    computed once; each permutation costs one matrix-vector pass.
+    so results are identical for any thread count. The pooled Gram is built
+    once, as its upper row panels of _PANEL_ROWS rows from the diagonal on;
+    each batch of 256 permutations costs one product with each panel's
+    diagonal block and one with the part right of it, counted twice for the
+    mirrored part below. With at most _PANEL_ROWS pooled rows the one panel
+    is the whole matrix and the arithmetic is the dense product's.
 
     Parameters
     ----------
@@ -239,33 +295,38 @@ def permutation_calibrate(
     seed = check_count(seed, "seed", minimum=0)
     threads = check_count(threads, "threads")
 
-    pooled = np.vstack([Xsa, Xta])
     N = m + n
-    K = gram_matrix(pooled, None, spec)
-    row_sums = np.sum(K, axis=1)
-    total = float(np.sum(K))
+    panels, row_sums, total = _pooled_panels(np.vstack([Xsa, Xta]), spec)
 
     z0 = np.zeros((N, 1))
     z0[:m, 0] = 1.0
-    observed = float(_permutation_stats(K, row_sums, total, m, n, z0)[0])
+    observed = float(_permutation_stats(panels, row_sums, total, m, n, z0)[0])
 
     children = np.random.SeedSequence(seed).spawn(num_permutations)
     stats = np.empty(num_permutations)
 
+    def indicators(start: int, stop: int) -> np.ndarray:
+        z = np.zeros((N, stop - start))
+        for j, b in enumerate(range(start, stop)):
+            rng = np.random.Generator(np.random.PCG64(children[b]))
+            z[rng.permutation(N)[:m], j] = 1.0
+        return z
+
     def fill(lo: int, hi: int) -> None:
         for start in range(lo, hi, _PERMUTATION_BATCH):
             stop = min(start + _PERMUTATION_BATCH, hi)
-            z = np.zeros((N, stop - start))
-            for j, b in enumerate(range(start, stop)):
-                rng = np.random.Generator(np.random.PCG64(children[b]))
-                z[rng.permutation(N)[:m], j] = 1.0
-            stats[start:stop] = _permutation_stats(K, row_sums, total, m, n, z)
+            # the indicators are a temporary, freed before the next batch's
+            # are built
+            stats[start:stop] = _permutation_stats(
+                panels, row_sums, total, m, n, indicators(start, stop)
+            )
 
     if threads <= 1:
         fill(0, num_permutations)
     else:
-        # split on the batch grid: the bits of K @ z depend on the column
-        # count, so every batch must hold the same columns at any thread count
+        # split on the batch grid: the bits of a panel product depend on
+        # the column count, so every batch must hold the same columns at
+        # any thread count
         num_batches = -(-num_permutations // _PERMUTATION_BATCH)
         bounds = np.linspace(0, num_batches, threads + 1).astype(int)
         bounds = np.minimum(bounds * _PERMUTATION_BATCH, num_permutations)

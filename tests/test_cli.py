@@ -223,6 +223,45 @@ def test_median_bandwidth_overflow_exits_one(tmp_path, scale):
     assert lines[0].startswith("error:") and "overflow" in lines[0]
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+@pytest.mark.parametrize("command", ["calibrate", "geometry", "norm", "certify"])
+def test_fixed_bandwidth_overflow_exits_one(tmp_path, command, scale):
+    # With gamma = 0.5 no median is taken, so the Gram matrices themselves
+    # must reject the overflowing distances: 1e160 gives NaN ones, 1e200
+    # inf squared norms. A subprocess, so that a traceback or a warning
+    # shows on stderr and a hang fails the test.
+    rng = np.random.default_rng(0)
+    paths = {}
+    for name, rows in (("s", 40), ("t", 30), ("a", 5)):
+        path = paths[name] = tmp_path / f"{name}.csv"
+        path.write_text(
+            "".join(
+                ",".join(repr(float(v)) for v in row) + "\n"
+                for row in scale * rng.standard_normal((rows, 3))
+            )
+        )
+    losses = tmp_path / "l.csv"
+    losses.write_text("0.5\n" * 40)
+    config = write_config(tmp_path, gamma=0.5, n_labeled=40)
+    args = {
+        "calibrate": [paths["s"], paths["t"], "--gamma", "0.5"],
+        "geometry": [paths["s"], paths["t"], "--anchors", paths["a"], "--gamma", "0.5"],
+        "norm": [paths["s"], losses, "--gamma", "0.5"],
+        "certify": [paths["s"], losses, paths["t"], config],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "credal_cert", command, *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error:") and "overflow" in lines[0]
+
+
 def test_bad_flags_exit_one(capsys):
     assert main(["certify", SOURCE, LOSSES, TARGET, CONFIG, "--seed", "-1"]) == 1
     assert main(["transmogrify"]) == 1

@@ -11,6 +11,7 @@ import pytest
 
 from credal_cert import (
     InputError,
+    NumericalError,
     ParseError,
     certificate_text,
     file_digest,
@@ -272,3 +273,12 @@ def test_serialization_round_trips_full_precision():
         assert parsed["p"] == cert["p"]
         assert text.endswith("\n")
     assert "\n" not in record_text(cert).rstrip("\n")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_serialization_rejects_non_finite_values(value):
+    # NaN and Infinity are not JSON; a computation that left one is an error
+    cert = {"mmd2": value, "nested": {"ok": 1.0}}
+    for text_of in (certificate_text, record_text):
+        with pytest.raises(NumericalError, match="not finite"):
+            text_of(cert)

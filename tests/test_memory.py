@@ -4,7 +4,8 @@ Peaks are in multiples of one n x n float64 matrix. A Gram matrix and the
 pooled median are finished in the buffer of their one product, taken on
 operands zero-padded to a multiple of 8 rows, with only cache-sized
 scratch beside it; the ridge fit copies K once. N is a multiple of 8, so
-the padded buffer is exactly n x n here.
+the padded buffer is exactly n x n here. Permutation calibration keeps only
+the upper row panels of the pooled Gram.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from credal_cert import KernelSpec, gram_matrix, median_heuristic
+from credal_cert.mmd import _PANEL_ROWS, permutation_calibrate
 from credal_cert.rkhs_norm import fit_rkhs_norm
 
 N = 1000
@@ -69,3 +71,15 @@ def test_tied_pooled_median_heuristic_peak():
     X, Y = (rng.integers(0, 2, (N, 10)).astype(float) for _ in range(2))
     pooled_bytes = (2 * N) ** 2 * 8
     assert _peak_matrices(lambda: median_heuristic(X, Y), pooled_bytes) <= 1.25
+
+
+def test_permutation_calibration_peak():
+    # 4000 pooled rows span four panels, about 5/8 of the pooled Gram
+    rng = np.random.default_rng(3)
+    Xs, Xt = rng.standard_normal((2000, 10)), rng.standard_normal((2000, 10))
+    assert 4000 > 3 * _PANEL_ROWS
+    pooled_bytes = 4000**2 * 8
+    peak = _peak_matrices(
+        lambda: permutation_calibrate(Xs, Xt, KernelSpec(gamma=0.05)), pooled_bytes
+    )
+    assert peak <= 0.75

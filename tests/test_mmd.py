@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import credal_cert
 from credal_cert import (
     InputError,
     KernelSpec,
@@ -20,7 +25,9 @@ from credal_cert import (
     mmd_upper_confidence,
     permutation_calibrate,
 )
-from credal_cert.mmd import _exact_sum
+from credal_cert import mmd
+from credal_cert.kernels import gram_matrix
+from credal_cert.mmd import _exact_sum, _u_statistic
 
 TWO_POINT_MMD2 = 1.2642411176571153  # 2 - 2/e at unit distance, gamma 1
 WIDTH_200_200_05 = 0.19206455826398416
@@ -149,10 +156,13 @@ def test_calibration_is_deterministic_and_thread_invariant():
     assert r1.seed == 11
 
 
-def test_calibration_thread_invariant_at_benchmark_shape():
-    # The bits of K @ z depend on the column count of z, so every thread
-    # count must form the same 256-permutation batches; an even split of
-    # 1000 permutations over two threads changed this radius in its low bits.
+@pytest.mark.parametrize("panel_rows", [mmd._PANEL_ROWS, 256])
+def test_calibration_thread_invariant_at_benchmark_shape(panel_rows, monkeypatch):
+    # The bits of a panel product depend on the column count of z, so every
+    # thread count must form the same 256-permutation batches; an even split
+    # of 1000 permutations over two threads changed this radius in its low
+    # bits. 1000 pooled rows are one panel by default and four of 256 rows.
+    monkeypatch.setattr(mmd, "_PANEL_ROWS", panel_rows)
     rng = np.random.default_rng(np.random.SeedSequence([11, 500]))
     Xs = rng.standard_normal((500, 10))
     Xt = 0.25 + rng.standard_normal((500, 10))
@@ -216,6 +226,103 @@ def test_calibration_validation():
         permutation_calibrate(Xs, Xt, SPEC, seed=-1)
     with pytest.raises(InputError):
         permutation_calibrate(Xs, Xt, SPEC, threads=0)
+
+
+# ------------------------------------------------- panels of the pooled Gram
+
+
+def _indicators(m: int, n: int, num_permutations: int, seed: int) -> np.ndarray:
+    """The observed split, then each permutation's source rows, as 0/1 columns."""
+    N = m + n
+    z = np.zeros((N, num_permutations + 1))
+    z[:m, 0] = 1.0
+    children = np.random.SeedSequence(seed).spawn(num_permutations)
+    for j, child in enumerate(children, start=1):
+        rng = np.random.Generator(np.random.PCG64(child))
+        z[rng.permutation(N)[:m], j] = 1.0
+    return z
+
+
+@pytest.mark.parametrize("panel_rows", [16, 24])
+@pytest.mark.parametrize("m, n", [(5, 5), (8, 8), (10, 7), (25, 15), (30, 40)])
+def test_panels_match_the_dense_pooled_gram(panel_rows, m, n, monkeypatch):
+    # 1 to 5 panels, the last one ragged where panel_rows does not divide N
+    monkeypatch.setattr(mmd, "_PANEL_ROWS", panel_rows)
+    rng = np.random.default_rng(m * 100 + n)
+    Xs, Xt = rng.standard_normal((m, 3)), 0.3 + rng.standard_normal((n, 3))
+    spec = KernelSpec(gamma=0.5)
+    pooled = np.vstack([Xs, Xt])
+    z = _indicators(m, n, 150, seed=3)
+    K = gram_matrix(pooled, None, spec)
+    s_ss = np.einsum("ij,ij->j", z, K @ z)
+    s_sall = np.sum(K, axis=1) @ z
+    dense = _u_statistic(m, n, s_ss, np.sum(K) - 2.0 * s_sall + s_ss, s_sall - s_ss)
+
+    panels, row_sums, total = mmd._pooled_panels(pooled, spec)
+    assert len(panels) == -(-(m + n) // panel_rows)
+    stats = mmd._permutation_stats(panels, row_sums, total, m, n, z)
+    # a statistic near zero is a difference of terms near its largest
+    # siblings, so its error is relative to their scale, not to itself
+    scale = float(np.max(np.abs(dense)))
+    np.testing.assert_allclose(stats, dense, rtol=1e-12, atol=1e-12 * scale)
+
+    alpha = 0.1
+    result = permutation_calibrate(
+        Xs, Xt, spec, num_permutations=150, alpha=alpha, seed=3
+    )
+    q = float(np.quantile(dense[1:], 1.0 - alpha, method="higher"))
+    assert result.epsilon_alpha == pytest.approx(math.sqrt(max(q, 0.0)), rel=1e-12)
+    expected_p = (1.0 + np.sum(dense[1:] >= dense[0])) / 151.0
+    assert result.p_value == pytest.approx(expected_p, abs=1.5 / 151.0)
+
+
+def test_one_panel_keeps_the_dense_bits():
+    # 70 pooled rows fit one panel, whose arithmetic is the dense matrix's:
+    # the values the full pooled Gram gave, pinned
+    rng = np.random.default_rng(70)
+    Xs = rng.standard_normal((40, 3))
+    Xt = 0.3 + rng.standard_normal((30, 3))
+    result = permutation_calibrate(
+        Xs, Xt, KernelSpec(gamma=0.5), num_permutations=300, alpha=0.1, seed=5
+    )
+    assert (result.epsilon_alpha, result.p_value) == (
+        0.13673987619480948,
+        0.2857142857142857,
+    )
+
+
+_CALIBRATION_REPRS = """
+import numpy as np
+from credal_cert import median_heuristic, permutation_calibrate
+
+for m, n, d in ((2000, 2000, 10), (777, 333, 7), (600, 500, 10)):
+    rng = np.random.default_rng(np.random.SeedSequence([0, m, n, d]))
+    Xs, Xt = rng.standard_normal((m, d)), 0.25 + rng.standard_normal((n, d))
+    print(repr(permutation_calibrate(Xs, Xt, median_heuristic(Xs, Xt))))
+"""
+
+
+def test_calibration_does_not_depend_on_blas_threads():
+    src = str(Path(credal_cert.__file__).resolve().parent.parent)
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+
+    def reprs(**threads):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CALIBRATION_REPRS],
+            env=dict(env, **threads),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert reprs(OPENBLAS_NUM_THREADS="1") == reprs()
 
 
 # ------------------------------------------------------------ exact cross sum

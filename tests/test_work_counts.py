@@ -1,6 +1,7 @@
 """Work done once per command stays done once: the shared geometry MMD and
-the monitor session's source self-Gram; and the pooled median partitions
-only the pairs its bracket keeps."""
+the monitor session's source self-Gram; the pooled median partitions only
+the pairs its bracket keeps; and permutation calibration builds only the
+upper panels of the pooled Gram."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import pkgutil
 import numpy as np
 
 import credal_cert
-from credal_cert import geometry, kernels
+from credal_cert import KernelSpec, geometry, kernels, mmd
 from credal_cert.cli import main
 from conftest import DATA_DIR
 
@@ -80,3 +81,15 @@ def test_median_partitions_few_pooled_pairs(monkeypatch):
     assert len(passes) == 1
     below, kept = passes[0]
     assert kept <= 0.05 * n_pairs
+
+
+def test_calibration_builds_the_upper_panels_only(monkeypatch):
+    # 4000 pooled rows span four panels; the full pooled Gram is N^2 entries
+    rng = np.random.default_rng(0)
+    Xs = rng.standard_normal((2000, 10))
+    Xt = 0.25 + rng.standard_normal((2000, 10))
+    grams = []
+    monkeypatch.setattr(mmd, "gram_matrix", _counting(mmd.gram_matrix, grams))
+    mmd.permutation_calibrate(Xs, Xt, KernelSpec(gamma=0.05), num_permutations=100)
+    assert len(grams) == 4
+    assert sum(K.size for K in grams) <= 0.64 * 4000**2
