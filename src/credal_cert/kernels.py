@@ -266,12 +266,13 @@ def _count_and_keep(d2, a, lo, hi) -> tuple[int, int]:
     flat = d2.reshape(-1)
     below = kept = 0
     lower = None
+    # an open bracket keeps every pair: copy the rows past the diagonal as
+    # they are, with no mask to build and compress
+    keep_all = lo == -np.inf and hi == np.inf
     for r0, r1 in _row_blocks(n, n):
         t = _sq_dists_block(d2[r0:r1, r0:n], a[r0:r1], a[r0:])
         r = r1 - r0
-        if lo == -np.inf and hi == np.inf:
-            # an open bracket keeps every pair: copy the rows past the
-            # diagonal as they are, with no mask to build and compress
+        if keep_all:
             for i in range(r):
                 row = t[i, i + 1 :]
                 flat[kept : kept + row.size] = row
