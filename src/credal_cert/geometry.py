@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, overflow_error
 from .mmd import mmd2_unbiased
 from .validation import as_features, check_nonnegative, validated_pair
 
@@ -50,13 +50,22 @@ def _validated_samples(anchors_a: np.ndarray, Xs, Xt, c_w: float):
     return Xsa, Xta, check_nonnegative(c_w, "c_w")
 
 
-def _anchor_sides(anchors_a, Xsa, Xta, scale: float):
-    """Yield (lhs_estimate, epsilon_bar) for each anchor row, in row order."""
-    for a in anchors_a:
-        dist_s = np.linalg.norm(Xsa - a, axis=1)
-        dist_t = np.linalg.norm(Xta - a, axis=1)
-        lhs = scale * abs(float(np.mean(dist_s)) - float(np.mean(dist_t)))
-        yield lhs, max(float(np.max(dist_s)), float(np.max(dist_t)))
+def _anchor_sides(anchors_a, Xsa, Xta, scale: float) -> list[tuple[float, float]]:
+    """(lhs_estimate, epsilon_bar) for each anchor row, in row order.
+
+    Raises InputError, as the kernel path does, when a distance between an
+    anchor and a sample row overflows float64.
+    """
+    sides = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in anchors_a:
+            dist_s = np.linalg.norm(Xsa - a, axis=1)
+            dist_t = np.linalg.norm(Xta - a, axis=1)
+            lhs = scale * abs(float(np.mean(dist_s)) - float(np.mean(dist_t)))
+            sides.append((lhs, max(float(np.max(dist_s)), float(np.max(dist_t)))))
+    if not all(math.isfinite(eps_bar) for _, eps_bar in sides):
+        raise overflow_error()
+    return sides
 
 
 def geodesic_distortion(

@@ -124,6 +124,14 @@ def _doubled_inner_products(X: np.ndarray, Y: np.ndarray, out=None) -> np.ndarra
 _LARGE_SQNORM = np.finfo(np.float64).max / 16
 
 
+def overflow_error() -> InputError:
+    """The InputError for features whose squared distances overflow."""
+    return InputError(
+        "squared distances between the feature rows overflow float64; "
+        "rescale the features"
+    )
+
+
 def _checked_product(X, Y, same: bool, out=None) -> np.ndarray:
     """_doubled_inner_products(X, Y, out), or InputError if a distance overflows.
 
@@ -148,10 +156,7 @@ def _checked_product(X, Y, same: bool, out=None) -> np.ndarray:
         for j in [] if same else np.flatnonzero(b > _LARGE_SQNORM):
             finite &= bool(np.isfinite((a + b[j]) - G[: a.size, j]).all())
     if not finite:
-        raise InputError(
-            "squared distances between the feature rows overflow float64; "
-            "rescale the features"
-        )
+        raise overflow_error()
     return G
 
 

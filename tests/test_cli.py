@@ -262,6 +262,56 @@ def test_fixed_bandwidth_overflow_exits_one(tmp_path, command, scale):
     assert lines[0].startswith("error:") and "overflow" in lines[0]
 
 
+def test_geometry_anchor_distance_overflow_exits_one(tmp_path):
+    # Ordinary samples, anchors near 1e200: the MMD is finite, and only the
+    # anchor distances, outside the Gram path, overflow.
+    rng = np.random.default_rng(0)
+    paths = {}
+    for name, rows, scale in (("s", 40, 1.0), ("t", 30, 1.0), ("a", 5, 1e200)):
+        path = paths[name] = tmp_path / f"{name}.csv"
+        path.write_text(
+            "".join(
+                ",".join(repr(float(v)) for v in row) + "\n"
+                for row in scale * rng.standard_normal((rows, 3))
+            )
+        )
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "credal_cert", "geometry",
+            str(paths["s"]), str(paths["t"]), "--anchors", str(paths["a"]),
+            "--gamma", "0.5",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error:") and "overflow" in lines[0]
+
+
+def test_commands_run_without_scipy():
+    # numpy is the only runtime dependency: importing the CLI and running
+    # certify and norm loads no scipy module (scipy is a test reference)
+    code = f"""
+import contextlib, io, sys
+import credal_cert.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["certify", {SOURCE!r}, {LOSSES!r}, {TARGET!r}, {CONFIG!r}]),
+        cli.main(["norm", {SOURCE!r}, {LOSSES!r}, "--gamma", "median"]),
+    ]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
+
+
 def test_bad_flags_exit_one(capsys):
     assert main(["certify", SOURCE, LOSSES, TARGET, CONFIG, "--seed", "-1"]) == 1
     assert main(["transmogrify"]) == 1

@@ -192,3 +192,21 @@ def test_rare_class_label_count_mismatch():
             rng.standard_normal((5, 2)),
             K1,
         )
+
+
+def test_overflowing_anchor_distances_raise_input_error():
+    # the samples are ordinary, so only the anchor distances can overflow;
+    # under all="raise" a stray floating-point warning would fail too
+    rng = np.random.default_rng(0)
+    Xs, Xt = rng.standard_normal((40, 3)), rng.standard_normal((30, 3))
+    anchors = 1e200 * rng.standard_normal((5, 3))
+    k = KernelSpec(gamma=0.5)
+    with np.errstate(all="raise"):
+        with pytest.raises(InputError, match="overflow"):
+            geodesic_distortion(anchors, Xs, Xt, k)
+        with pytest.raises(InputError, match="overflow"):
+            rare_class_report(anchors, list("aabbc"), Xs, Xt, k)
+    # an anchor whose squared distances come close to the float64 maximum,
+    # but stay below it, passes
+    [report] = geodesic_distortion([[1.2e154, 0.0, 0.0]], Xs, Xt, k)
+    assert math.isfinite(report.lhs_estimate)

@@ -18,7 +18,7 @@ from credal_cert import (
     expansion_value,
     gram_matrix,
 )
-from credal_cert.rkhs_norm import fit_rkhs_norm
+from credal_cert.rkhs_norm import _BLOCK, _factor, _solve, fit_rkhs_norm
 
 K = KernelSpec(gamma=0.5)
 
@@ -108,16 +108,63 @@ def test_validation():
 
 @pytest.mark.parametrize("n", [40, 300])
 def test_fit_matches_out_of_place_ridge_system_bitwise(n):
-    # the fit adds lambda on the diagonal of one copy of K; the reference
-    # builds K + lambda * I and lets cho_factor copy it
+    # the fit adds lambda on the diagonal of its one copy of K; the
+    # reference builds K + lambda * I apart and runs the same factorization,
+    # solve and refinement step on it
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, 10))
     y = rng.random(n)
     gram = gram_matrix(X, None, KernelSpec(gamma=0.05))
     lam = 1e-6 * float(np.trace(gram)) / n
-    alpha = cho_solve(cho_factor(gram + lam * np.eye(n), lower=True), y)
+    system = gram + lam * np.eye(n)
+    _factor(system)
+    alpha = _solve(system, y)
+    alpha += _solve(system, y - (gram @ alpha + lam * alpha))
     fitted = gram @ alpha
     result = fit_rkhs_norm(gram, y)
     assert result.ridge_lambda == lam
     assert result.l_h == math.sqrt(max(float(alpha @ fitted), 0.0))
     assert result.residual_rms == math.sqrt(float(np.mean((fitted - y) ** 2)))
+
+
+@pytest.mark.parametrize("d", [3, 10, 128])
+@pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300, 777, 2000])
+def test_fit_agrees_with_lapack_cholesky(n, d):
+    # uniform losses are noise to the kernel, the hardest case for the fit;
+    # gamma is about the median heuristic's for standard normal rows
+    rng = np.random.default_rng([n, d])
+    X = rng.standard_normal((n, d))
+    y = rng.random(n)
+    gram = gram_matrix(X, None, KernelSpec(gamma=0.25 / d))
+    result = fit_rkhs_norm(gram, y)
+    system = gram + result.ridge_lambda * np.eye(n)
+    alpha = cho_solve(cho_factor(system, lower=True), y)
+    fitted = gram @ alpha
+    l_h = math.sqrt(max(float(alpha @ fitted), 0.0))
+    residual_rms = math.sqrt(float(np.mean((fitted - y) ** 2)))
+    assert result.residual_rms == pytest.approx(residual_rms, rel=1e-8, abs=0.0)
+    # at (2000, 3), the worst conditioned case, neither solve meets 1e-8:
+    # against a solution refined in long double, scipy's l_h is off by up to
+    # 1.7e-8 and the blocked fit's by 2.6e-8, and the two read 4.3e-8 apart
+    rel = 1e-7 if (n, d) == (2000, 3) else 1e-8
+    assert result.l_h == pytest.approx(l_h, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("row", [0, 3 * _BLOCK - 2])
+def test_indefinite_kernel_raises_singular_system(row):
+    # a symmetric K with eigenvalues 3 and -1 in one 2 x 2 block, met in
+    # the first diagonal block or in the last of three
+    gram = np.eye(3 * _BLOCK)
+    gram[row : row + 2, row : row + 2] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(SingularSystemError, match="not positive definite"):
+        fit_rkhs_norm(gram, np.ones(3 * _BLOCK))
+
+
+def test_ill_conditioned_kernel_raises_singular_system():
+    # positive definite, but the last pivot is 1e-17 against 1: the factor
+    # succeeds and its diagonal fails the conditioning check
+    n = 2 * _BLOCK + 3
+    gram = np.eye(n)
+    gram[-1, -1] = 0.0
+    with pytest.raises(SingularSystemError, match="conditioning"):
+        fit_rkhs_norm(gram, np.ones(n), ridge_lambda=1e-17)
