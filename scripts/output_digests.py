@@ -17,6 +17,12 @@ l_h = 2 (`*-certify-lh`), a config without r_max, alpha0 and calibration,
 so the radius is the upper confidence limit (`*-certify-bare`), and with
 --clamp-risk (`*-certify-clamp`). The digest covers stdout and stderr.
 
+A last `parse` set reads each of PARSE_INPUTS, small CSV files with
+blank, whitespace, header, malformed and non-finite lines, with
+read_features and read_losses and prints `parse-<input>-<reader> exit
+sha256`: exit is 1 for an input error and 0 otherwise, and the digest
+covers the parsed array's shape and bytes, or the `error:` line.
+
 Run it against two source trees and diff the output:
 
     PYTHONPATH=<tree>/src python scripts/output_digests.py > digests.txt
@@ -41,6 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from credal_cert.cli import main as cli_main
+from credal_cert.errors import InputError
+from credal_cert.io import read_features, read_losses
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "tests" / "data"
@@ -86,6 +94,84 @@ CONFIG = {
     "num_permutations": 1000,
     "alpha": 0.05,
 }
+
+
+# 9007199254740993 (2**53 + 1) followed by 383 zeros and a 1: the 400-digit
+# mantissa rounds up to 2**53 + 2 only when read to its last digit
+_LONG_MANTISSA = "9007199254740993" + "0" * 383 + "1"
+# CSV inputs of the parse set, as file bytes
+PARSE_INPUTS = {
+    "plain": "1.5,2\n3,-4e-3\n",
+    "header": "x,y\n1,2\n3,4\n",
+    "blank-first": "\n1,2\n3,4\n",
+    "space-first": " \t \n1,2\n3,4\n",
+    "blank-middle": "1,2\n\n3,4\n",
+    "space-middle": "1,2\n  \n3,4\n",
+    "blank-last": "1,2\n3,4\n\n\n",
+    "space-last": "1,2\n3,4\n \t\n",
+    "header-then-blank": "x,y\n\n1,2\n",
+    "crlf": "x,y\r\n1,2\r\n3,4\r\n",
+    "cr": "1,2\r3,4\r",
+    "tabs": "1\t,\t2\n3\t,4\n",
+    "spaces": " 1 , 2 \n3 ,4\n",
+    "formfeed": "\x0c1,2\x0c\n3,4\n",
+    "vtab": "1,\x0b2\n3,4\n",
+    "file-separator": "\x1c1,2\n3,4\x1c\n",
+    "nbsp": "\xa01,2\n3,4\n",
+    "underscore": "1_0,2\n3,4\n",
+    "underscore-later": "1,2\n3_0,4\n",
+    "arabic-indic": "1,2\n\u0663,\u0664\u0665\n",
+    "hex-first": "0x1p3,2\n3,4\n",
+    "hex-later": "1,2\n0x1p3,4\n",
+    "nan": "1,2\nnan,4\n",
+    "minus-inf": "1,2\n3,-inf\n",
+    "infinity-first": "Infinity,2\n3,4\n",
+    "overflow": "1,2\n1e400,4\n",
+    "subnormal": "4.9e-324,2\n3,2.5e-320\n",
+    "long-mantissa": f"{_LONG_MANTISSA}e-384,2\n{_LONG_MANTISSA[:-1]}0e-384,4\n",
+    "trailing-comma": "1,2,\n3,4,\n",
+    "empty-field": "1,,2\n3,4,5\n",
+    "hash": "1,2\n#3,4\n",
+    "hash-inline": "1,2 # note\n3,4\n",
+    "quotes-first": '"1","2"\n3,4\n',
+    "quotes-later": '1,2\n"3",4\n',
+    "nul": "1,2\n3,\x004\n",
+    "ragged": "1,2\n3\n",
+    "ragged-wide": "1\n2,3\n",
+    "header-only": "x,y\n",
+    "two-headers": "x,y\nu,v\n1,2\n",
+    "single-column": "0.5\n0.25\n1\n",
+    "single-column-header": "loss\n0.5\n0.25\n",
+    "single-column-blank": "0.5\n\n0.25\n",
+    "empty": "",
+    "whitespace-only": " \n\t\n",
+}
+
+
+def parse_lines() -> list[str]:
+    """`parse-<input>-<reader> exit sha256` per input and reader.
+
+    Reads the files by names relative to the working directory, so the
+    error bytes name no temporary path.
+    """
+    readers = {"features": read_features, "losses": read_losses}
+    lines = []
+    for name, text in PARSE_INPUTS.items():
+        path = f"{name}.csv"
+        Path(path).write_bytes(text.encode())
+        for label, reader in readers.items():
+            digest = hashlib.sha256()
+            try:
+                values = reader(path)
+            except InputError as exc:
+                code = 1
+                digest.update(f"error: {exc}\n".encode())
+            else:
+                code = 0
+                digest.update(repr(values.shape).encode())
+                digest.update(values.tobytes())
+            lines.append(f"parse-{name}-{label} {code} {digest.hexdigest()}")
+    return lines
 
 
 def _csv(rows: np.ndarray) -> str:
@@ -212,6 +298,14 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{label}-{name} {code} {digest}", flush=True)
             finally:
                 os.chdir(cwd)
+        data = Path(tmp) / "parse"
+        data.mkdir()
+        os.chdir(data)
+        try:
+            for line in parse_lines():
+                print(line, flush=True)
+        finally:
+            os.chdir(cwd)
     return 0
 
 

@@ -2,7 +2,11 @@
 
 Feature files are comma-separated, one sample per row, with an optional
 single header row (auto-detected: a first row that does not parse as
-numbers). Loss files are the same format restricted to one column. Configs
+numbers). Loss files are the same format restricted to one column.
+Well-formed rows are parsed by numpy's C reader (np.loadtxt) in one call;
+input it rejects or reads differently (blank lines, non-finite values, too
+many columns, tokens only float() accepts) is parsed again row by row, so
+values and error messages are those of float() on each token. Configs
 are JSON objects with a fixed key set; unknown keys are rejected by name so
 typos fail loud. All parse failures name the file and line.
 """
@@ -75,12 +79,52 @@ def _parse_float_row(line: str) -> list[float] | None:
         return None
 
 
+def _parse_fast(
+    lines: list[tuple[int, str]], max_columns: int | None
+) -> np.ndarray | None:
+    """The matrix of well-formed lines by numpy's C reader; None otherwise.
+
+    A first line that is not blank and does not parse is the header and is
+    dropped. The rest goes to np.loadtxt, which rounds every token through
+    the same PyOS_string_to_double as float(), so a matrix it returns is
+    the row-wise parser's bit for bit. It skips blank lines where the
+    row-wise parser rejects them, so a row count short of the line count,
+    like any failure, non-finite value or excess column, yields None.
+    """
+    texts = [raw for _, raw in lines]
+    if texts and texts[0].strip() and _parse_float_row(texts[0].strip()) is None:
+        del texts[0]
+    # loadtxt warns on input without data; blank input is the row-wise
+    # parser's error anyway
+    if not texts or not texts[0].strip():
+        return None
+    try:
+        values = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (
+        values.shape[0] != len(texts)
+        or (max_columns is not None and values.shape[1] > max_columns)
+        or not np.isfinite(values).all()
+    ):
+        return None
+    return values
+
+
 def parse_feature_rows(
     lines: list[tuple[int, str]],
     origin: str,
     max_columns: int | None = None,
 ) -> np.ndarray:
-    """Parse CSV lines into a float matrix; origin labels error messages."""
+    """Parse CSV lines into a float matrix; origin labels error messages.
+
+    Well-formed input is parsed by np.loadtxt in one call. Any other input
+    goes through the row-wise parser, which takes what float() takes and
+    words the first error.
+    """
+    fast = _parse_fast(lines, max_columns)
+    if fast is not None:
+        return fast
     rows: list[list[float]] = []
     width: int | None = None
     first_data = True

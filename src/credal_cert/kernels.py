@@ -7,11 +7,18 @@ can never produce a negative distance.
 
 Every inner product comes from one path: a single gemm on both operands
 zero-padded to a multiple of _PAD rows, finished in its own buffer. Self,
-cross and pooled Gram matrices and the median heuristic therefore share
-bits: an entry depends only on its pair of rows, not on their positions,
-the call's shape or the BLAS thread count. The same path rejects features
-whose squared distances overflow float64, with an InputError, checking
-only rows whose squared norm is large enough to overflow one.
+cross and pooled Gram matrices, their exact sums and the median heuristic
+therefore share bits: an entry depends only on its pair of rows, not on
+their positions, the call's shape or the BLAS thread count. The same path
+rejects features whose squared distances overflow float64, with an
+InputError, checking only rows whose squared norm is large enough to
+overflow one.
+
+gram_sum is the correctly rounded sum of a Gram matrix's entries, taken
+without storing the matrix: each row block is finished in its cache-sized
+scratch and split there, without error, into parts whose float64 sums are
+exact (Rump, Ogita and Oishi, "Accurate floating-point summation part I",
+SIAM J. Sci. Comput. 2008). The sum is math.fsum's, whatever the blocking.
 
 The median heuristic selects the exact median of the pooled distances
 without partitioning all of them: a fixed sample of pairs brackets it, one
@@ -165,6 +172,16 @@ def padded_entries(n_x: int, n_y: int) -> int:
     return (n_x + -n_x % _PAD) * (n_y + -n_y % _PAD)
 
 
+def _kernel_operands(X, Y) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(X, Y, same) as validated feature matrices; Y None is X's self-Gram."""
+    Xa = as_features(X, "X")
+    if Y is None:
+        return Xa, Xa, True
+    Ya = as_features(Y, "Y")
+    check_same_dim(Xa, Ya, "X", "Y")
+    return Xa, Ya, np.array_equal(Xa, Ya)
+
+
 def gram_matrix(X, Y, spec: KernelSpec, out=None) -> np.ndarray:
     """Kernel matrix with entry (i, j) = exp(-gamma * ||X[i] - Y[j]||^2).
 
@@ -195,14 +212,8 @@ def gram_matrix(X, Y, spec: KernelSpec, out=None) -> np.ndarray:
     InputError
         If a squared distance between rows of X and Y overflows float64.
     """
-    Xa = as_features(X, "X")
-    if Y is None:
-        Ya = Xa
-    else:
-        Ya = as_features(Y, "Y")
-        check_same_dim(Xa, Ya, "X", "Y")
+    Xa, Ya, same = _kernel_operands(X, Y)
     n_x, n_y = Xa.shape[0], Ya.shape[0]
-    same = Y is None or np.array_equal(Xa, Ya)
     G = _checked_product(Xa, Ya, same, out)
     a, b = _row_sqnorms(Xa), _row_sqnorms(Ya)
     # each block's unpadded place starts at or before its padded one, so
@@ -216,6 +227,82 @@ def gram_matrix(X, Y, spec: KernelSpec, out=None) -> np.ndarray:
     if same:
         np.fill_diagonal(K, 1.0)
     return K
+
+
+# gram_sum splits kernel values in [0, 1] without error, per chunk of at
+# most _SPLIT_CHUNK entries. Where a chunk's entries all lie in
+# [_TWO_PART_MIN, 1] = [2**-13, 1], each x splits in two:
+# hi = (x + _HI_SHIFT) - _HI_SHIFT is x rounded to a multiple of 2**-28, and
+# lo = x - hi is exact, a multiple of 2**-65 (x's last place is no finer)
+# at most 2**-29 in magnitude. Over N <= 2**17 entries every partial sum of
+# the hi parts is a multiple of 2**-28 of magnitude at most 2**17 (45 bits)
+# and every partial sum of the lo parts a multiple of 2**-65 of magnitude
+# at most 2**-12 (53 bits), so both sums are exact in any order. A chunk
+# reaching below 2**-13 splits lo once more, mid = (lo + _MID_SHIFT) -
+# _MID_SHIFT, a multiple of 2**-55 at most 2**-29 in magnitude, which
+# leaves a rest that is a multiple of 2**-82 (for x >= _SPLIT_MIN = 2**-30)
+# at most 2**-56 in magnitude; over 2**16 entries the three sums need at
+# most 45, 42 and 42 bits. Entries below 2**-30 go to math.fsum as they
+# are. A row block holds more than _SPLIT_CHUNK entries only once a row is
+# wider than 2**16 columns; the cap keeps every chunk within the bounds.
+_SPLIT_CHUNK = 1 << 16
+_TWO_PART_MIN = 2.0**-13
+_SPLIT_MIN = 2.0**-30
+_HI_SHIFT = 1.5 * 2.0**24
+_MID_SHIFT = 1.5 * 2.0**-3
+
+
+def _exact_partials(x: np.ndarray, partials: list[float]) -> None:
+    """Append to partials floats whose exact sum is the exact sum of x.
+
+    x is a 1-d array of values in [0, 1]; it is overwritten. math.fsum of
+    the partials is then math.fsum(x.tolist()) of the original entries.
+    """
+    for start in range(0, x.size, _SPLIT_CHUNK):
+        c = x[start : start + _SPLIT_CHUNK]
+        low = c.min()
+        if low < _SPLIT_MIN:
+            tiny = c < _SPLIT_MIN
+            partials.extend(c[tiny].tolist())
+            c[tiny] = 0.0
+        hi = c + _HI_SHIFT
+        hi -= _HI_SHIFT
+        c -= hi
+        partials.append(float(np.sum(hi)))
+        if low < _TWO_PART_MIN:
+            mid = np.add(c, _MID_SHIFT, out=hi)
+            mid -= _MID_SHIFT
+            c -= mid
+            partials.append(float(np.sum(mid)))
+        partials.append(float(np.sum(c)))
+
+
+def gram_sum(X, Y, spec: KernelSpec) -> float:
+    """Correctly rounded sum of all entries of gram_matrix(X, Y, spec).
+
+    The same float as math.fsum(gram_matrix(X, Y, spec).ravel().tolist()),
+    so it depends neither on the order of the rows nor on which sample comes
+    first. The matrix is never stored: one padded product as gram_matrix
+    takes it, then each row block is finished in its scratch and split
+    there into parts whose sums are exact, while it is still in cache.
+
+    Raises
+    ------
+    InputError
+        If a squared distance between rows of X and Y overflows float64.
+    """
+    Xa, Ya, same = _kernel_operands(X, Y)
+    G = _checked_product(Xa, Ya, same)
+    a, b = _row_sqnorms(Xa), _row_sqnorms(Ya)
+    partials: list[float] = []
+    for r0, r1 in _row_blocks(Xa.shape[0], G.shape[1]):
+        t = _sq_dists_block(G[r0:r1], a[r0:r1], b)
+        t *= -spec.gamma
+        np.exp(t, out=t)
+        if same:
+            np.fill_diagonal(t[:, r0:r1], 1.0)
+        _exact_partials(t.reshape(-1), partials)
+    return math.fsum(partials)
 
 
 # Pairs drawn to bracket the median once the pooled pairs outnumber them 4
@@ -323,8 +410,9 @@ def median_heuristic(X, Y=None) -> KernelSpec:
     Raises
     ------
     InputError
-        If fewer than two rows are pooled, or if a pooled squared distance
-        overflows float64.
+        If fewer than two rows are pooled, if a pooled squared distance
+        overflows float64, or if the median distance is so small (subnormal)
+        that gamma overflows.
     DegenerateBandwidthError
         If the median distance is zero (all points coincide pairwise).
     """
@@ -362,4 +450,10 @@ def median_heuristic(X, Y=None) -> KernelSpec:
         raise DegenerateBandwidthError(
             "median pairwise distance is zero; cannot infer a bandwidth"
         )
-    return KernelSpec(gamma=1.0 / (2.0 * med), source=KernelSource.MEDIAN_HEURISTIC)
+    gamma = 1.0 / (2.0 * med)
+    if gamma == math.inf:
+        raise InputError(
+            "the median squared distance between the feature rows underflows "
+            "float64, so the median bandwidth overflows; rescale the features"
+        )
+    return KernelSpec(gamma=gamma, source=KernelSource.MEDIAN_HEURISTIC)

@@ -2,10 +2,11 @@
 
 The estimator is the U-statistic (diagonal terms excluded; the raw value
 may be negative and is kept as-is so unbiasedness stays testable). The
-cross-block sum is the exact sum of its entries rounded once, the same
-float as math.fsum, so estimates are invariant under swapping the two
-samples, bit for bit. The self-block sums are still np.sum, whose rounding
-depends on the block shape.
+cross-block sum is kernels.gram_sum, the exact sum of its entries rounded
+once (the same float as math.fsum), taken while the block is finished and
+never stored, so estimates are invariant under swapping the two samples,
+bit for bit. The self-block sums are still np.sum, whose rounding depends
+on the block shape.
 
 Permutation calibration keeps only the upper row panels of the pooled Gram
 (the diagonal blocks and everything right of them), since the matrix is
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, gram_matrix, padded_entries
+from .kernels import KernelSpec, gram_matrix, gram_sum, padded_entries
 from .validation import check_count, check_probability, validated_pair
 
 
@@ -55,60 +56,30 @@ class CalibrationResult:
     seed: int
 
 
-# _exact_sum splits each entry in [2**-30, 1] into three parts whose sums
-# over one chunk are exact in float64 in any order: hi is a multiple of
-# 2**-28 (at most 44 significant bits per chunk sum), mid a multiple of
-# 2**-55 below 2**-29 in magnitude, and the rest a multiple of 2**-82 below
-# 2**-56.
-_CHUNK = 1 << 16
-_HI_SHIFT = 1.5 * 2.0**24
-_MID_SHIFT = 1.5 * 2.0**-3
-_SPLIT_MIN = 2.0**-30
-
-
-def _exact_sum(K: np.ndarray) -> float:
-    """Correctly rounded sum of all entries of K: math.fsum(K.ravel().tolist()).
-
-    Entries outside [2**-30, 1] go to fsum as they are; the others are split
-    without error into three parts summed per chunk of 2**16 entries. The
-    chunk partials add up to the exact total, so one fsum over them rounds
-    the same exact value fsum over the entries would.
-    """
-    flat = np.ravel(K)
-    partials: list[float] = []
-    for start in range(0, flat.size, _CHUNK):
-        x = flat[start : start + _CHUNK]
-        if not (x.min() >= _SPLIT_MIN and x.max() <= 1.0):
-            inside = (x >= _SPLIT_MIN) & (x <= 1.0)
-            partials.extend(x[~inside].tolist())
-            x = np.where(inside, x, 0.0)
-        hi = (x + _HI_SHIFT) - _HI_SHIFT
-        rest = x - hi
-        mid = (rest + _MID_SHIFT) - _MID_SHIFT
-        rest -= mid
-        partials += [float(np.sum(hi)), float(np.sum(mid)), float(np.sum(rest))]
-    return math.fsum(partials)
-
-
 def _block_sums(Xs: np.ndarray, Xt: np.ndarray, spec: KernelSpec, s_ss=None):
     """Sums of the three Gram blocks (ss, tt, st), full blocks incl. diagonals.
 
     s_ss, when given, is the source self-Gram sum float(np.sum(gram_matrix(
     Xs, None, spec))) computed by the caller; the source block is then not
-    built again. The cross sum is _exact_sum, the correctly rounded exact
+    built again. The cross sum is gram_sum, the correctly rounded exact
     sum (equal to math.fsum), so the result does not depend on which sample
-    was passed first. The self sums s_ss and s_tt are np.sum. Identical
-    inputs reuse the self-Gram sum so all three sums are the same float.
+    was passed first; the cross block is summed as it is finished and never
+    stored. The self sums s_ss and s_tt are np.sum. Identical inputs reuse
+    the self-Gram sum so all three sums are the same float.
     """
     if s_ss is None:
         s_ss = float(np.sum(gram_matrix(Xs, None, spec)))
     if Xs.shape == Xt.shape and np.array_equal(Xs, Xt):
         return s_ss, s_ss, s_ss
+    # k_tt is held over the cross sum so that its buffer and the cross
+    # product's are freed side by side at the top of the heap. glibc hands
+    # a free heap top back to the system only above its trim threshold,
+    # which freeing the mmapped source Gram raised to twice that Gram's
+    # size; one such buffer freed alone would stay resident into the next
+    # command's peak.
     k_tt = gram_matrix(Xt, None, spec)
-    s_tt = float(np.sum(k_tt))
-    k_st = gram_matrix(Xs, Xt, spec)
-    s_st = _exact_sum(k_st)
-    return s_ss, s_tt, s_st
+    s_st = gram_sum(Xs, Xt, spec)
+    return s_ss, float(np.sum(k_tt)), s_st
 
 
 def _u_statistic(m: int, n: int, s_ss, s_tt, s_st):

@@ -23,7 +23,7 @@ from credal_cert import (
 )
 from credal_cert import mmd as mmd_module
 from credal_cert.cli import main
-from credal_cert.kernels import gram_matrix
+from credal_cert.kernels import gram_matrix, gram_sum
 from conftest import DATA_DIR
 
 SOURCE = str(DATA_DIR / "source_features.csv")
@@ -438,11 +438,10 @@ def test_monitor_repeated_batch_and_identical_sample(tmp_path, capsys, monkeypat
     cross_blocks = []
 
     def counting(X, Y, spec):
-        if Y is not None:
-            cross_blocks.append((len(X), len(Y)))
-        return gram_matrix(X, Y, spec)
+        cross_blocks.append((len(X), len(Y)))
+        return gram_sum(X, Y, spec)
 
-    monkeypatch.setattr(mmd_module, "gram_matrix", counting)
+    monkeypatch.setattr(mmd_module, "gram_sum", counting)
     Xs, _, records = _monitor_parity_run(tmp_path, capsys, None)
     first, second = dict(records[0]), dict(records[2])
     assert (first.pop("batch_seq"), second.pop("batch_seq")) == (0, 2)
@@ -805,3 +804,108 @@ def test_simulate_cli_concentration_pair_sizes_name_the_value(
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message in captured.err
+
+
+# Feature scales of the input sweep: distances that underflow to zero
+# (1e-300, 1e-170) or to a subnormal median (1e-160), large but finite
+# distances (1e150) and distances that overflow (1e154 and up). calibrate
+# and norm skip 1e-160 and 1e154 to keep the sweep short.
+SWEEP_SCALES = {
+    "certify": [1e-300, 1e-170, 1e-160, 1e150, 1e154, 1e160, 1e200],
+    "geometry": [1e-300, 1e-170, 1e-160, 1e150, 1e154, 1e160, 1e200],
+    "monitor": [1e-300, 1e-170, 1e-160, 1e150, 1e154, 1e160, 1e200],
+    "calibrate": [1e-300, 1e-170, 1e150, 1e160, 1e200],
+    "norm": [1e-300, 1e-170, 1e150, 1e160, 1e200],
+}
+SWEEP_BANDWIDTHS = ["median", 0.5]
+
+# Runs each argv of a JSON list through cli.main in one process and prints
+# [exit code, stdout, stderr] per argv; an uncaught exception ends it with
+# a traceback.
+_SWEEP_RUNNER = """
+import contextlib, io, json, sys
+from credal_cert.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _sweep_argv(tmp_path, command, scale, bandwidth) -> list[str]:
+    case = tmp_path / f"{scale:g}-{bandwidth}"
+    case.mkdir()
+    rng = np.random.default_rng(40)
+    files = {
+        "s.csv": scale * rng.standard_normal((40, 3)),
+        "t.csv": scale * (0.25 + rng.standard_normal((30, 3))),
+        "a.csv": scale * rng.standard_normal((5, 3)),
+        "l.csv": rng.uniform(0.0, 1.0, (40, 1)),
+    }
+    for name, rows in files.items():
+        text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        (case / name).write_text(text)
+    (case / "stream.txt").write_text((case / "t.csv").read_text())
+    config = {
+        "gamma": bandwidth,
+        "delta": 0.1,
+        "kl": 1.5,
+        "n_labeled": 40,
+        "l_h": "estimate",
+        "lambda": 1e-06,
+        "r_max": 0.8,
+        "alpha0": 0.1,
+    }
+    if command == "certify":
+        config.update(epsilon="calibrate", num_permutations=100)
+    (case / "config.json").write_text(json.dumps(config))
+    s, t, a, l, cfg = (
+        str(case / name) for name in ("s.csv", "t.csv", "a.csv", "l.csv", "config.json")
+    )
+    gamma = [] if bandwidth == "median" else ["--gamma", repr(bandwidth)]
+    return {
+        "certify": ["certify", s, l, t, cfg],
+        "monitor": ["monitor", str(case / "stream.txt"), s, l, cfg],
+        "geometry": ["geometry", s, t, "--anchors", a] + gamma,
+        "calibrate": ["calibrate", s, t, "--num-permutations", "100"] + gamma,
+        "norm": ["norm", s, l] + gamma,
+    }[command]
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_SCALES))
+def test_input_sweep_ends_in_strict_json_or_one_error_line(tmp_path, command):
+    cases = [
+        (scale, bandwidth)
+        for scale in SWEEP_SCALES[command]
+        for bandwidth in SWEEP_BANDWIDTHS
+    ]
+    argvs = [_sweep_argv(tmp_path, command, *case) for case in cases]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_RUNNER, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for case, (code, out, err) in zip(cases, json.loads(proc.stdout)):
+        if code == 0:
+            lines = out.splitlines() if command == "monitor" else [out]
+            assert lines, case
+            for line in lines:
+                _strict_json(line)
+        else:
+            assert code in (1, 2), case
+            assert out == "", case
+            assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+            assert "Traceback" not in err, case

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from credal_cert import io as io_module
 from credal_cert import (
     InputError,
     NumericalError,
@@ -251,6 +255,107 @@ def test_parse_feature_rows_reports_origin():
     # a lone unparsable first row reads as a header, so lead with data
     with pytest.raises(ParseError, match="stream batch 2: line 7"):
         parse_feature_rows([(6, "1.0,2.0"), (7, "1.0,oops")], "stream batch 2")
+
+
+def _digest_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the inputs of the parse set of scripts/output_digests.py
+PARSE_INPUTS = _digest_script().PARSE_INPUTS
+# inputs np.loadtxt parses on its own; the others go to the row-wise parser
+FAST_INPUTS = {
+    "plain",
+    "header",
+    "blank-last",
+    "space-last",
+    "crlf",
+    "tabs",
+    "spaces",
+    "formfeed",
+    "vtab",
+    "file-separator",
+    "nbsp",
+    "subnormal",
+    "long-mantissa",
+    "cr",
+    "hex-first",
+    "quotes-first",
+    "empty-field",
+    "hash-inline",
+    "single-column",
+    "single-column-header",
+}
+
+
+def _outcome(lines, max_columns):
+    """The parsed array's dtype, shape and bytes, or the error's type and text."""
+    try:
+        values = parse_feature_rows(lines, "f", max_columns)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
+def _row_wise_outcome(monkeypatch, lines, max_columns):
+    with monkeypatch.context() as patch:
+        patch.setattr(io_module, "_parse_fast", lambda lines, max_columns: None)
+        return _outcome(lines, max_columns)
+
+
+def _raw_lines(text: str) -> list[tuple[int, str]]:
+    """Numbered lines split on newlines only, as a caller may pass them."""
+    lines = text.split("\n")
+    while lines and lines[-1].strip() == "":
+        lines.pop()
+    return list(enumerate(lines, start=1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("max_columns", [None, 1])
+@pytest.mark.parametrize("name", sorted(PARSE_INPUTS))
+def test_fast_parse_matches_row_wise_parse(tmp_path, monkeypatch, name, max_columns):
+    text = PARSE_INPUTS[name]
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode())
+    for lines in (io_module._numbered_lines(path), _raw_lines(text)):
+        expected = _row_wise_outcome(monkeypatch, lines, max_columns)
+        assert _outcome(lines, max_columns) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_INPUTS))
+def test_fast_parse_takes_only_well_formed_input(tmp_path, name):
+    path = tmp_path / "x.csv"
+    path.write_bytes(PARSE_INPUTS[name].encode())
+    fast = io_module._parse_fast(io_module._numbered_lines(path), None)
+    assert (fast is not None) == (name in FAST_INPUTS)
+
+
+def test_fast_parse_reads_a_long_mantissa_to_its_last_digit(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(PARSE_INPUTS["long-mantissa"].encode())
+    assert read_features(path)[:, 0].tolist() == [2.0**53 + 2, 2.0**53]
+
+
+# characters around the edges of both parsers: separators, whitespace that
+# float() strips, signs, exponents, words, and tokens only float() takes
+_PARSE_ALPHABET = "0123456789.,-+eE \t\r\x0b\x0c\x1c\xa0\x00_#\"xpnaifINFy\u0663"
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300)
+@given(st.lists(st.text(_PARSE_ALPHABET, max_size=10), max_size=5))
+def test_fast_parse_matches_row_wise_parse_on_random_lines(lines):
+    numbered = list(enumerate(lines, start=1))
+    for max_columns in (None, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io_module, "_parse_fast", lambda lines, max_columns: None)
+            expected = _outcome(numbered, max_columns)
+        assert _outcome(numbered, max_columns) == expected
 
 
 def test_file_digest_is_sha256(tmp_path):

@@ -23,7 +23,7 @@ from credal_cert import (
     median_heuristic,
 )
 from credal_cert import kernels
-from credal_cert.kernels import _zero_padded
+from credal_cert.kernels import _zero_padded, gram_sum
 
 # frozen closed-form values
 EXP_NEG_ONE = 0.36787944117144233
@@ -139,6 +139,23 @@ def test_median_heuristic_identical_points_degenerate():
     X = np.zeros((5, 2))
     with pytest.raises(DegenerateBandwidthError):
         median_heuristic(X)
+
+
+@pytest.mark.parametrize("median", [2.0**-1074, 2.0**-1040, 2.0**-1026])
+def test_median_heuristic_names_an_underflowing_median(median):
+    # pairwise squared distances {median, median, 4 median}, all exact; the
+    # median is so deep in the subnormals that 1 / (2 * median) overflows
+    s = math.sqrt(median)
+    X = np.array([[0.0], [s], [2.0 * s]])
+    with pytest.raises(InputError, match=r"underflows float64.*rescale the features$"):
+        median_heuristic(X)
+
+
+def test_median_heuristic_inverts_a_subnormal_median_while_it_can():
+    # median 2**-1024, subnormal, gives gamma = 2**1023, the largest power
+    # of two below the overflow
+    X = np.array([[0.0], [2.0**-512], [2.0**-511]])
+    assert median_heuristic(X).gamma == 2.0**1023
 
 
 def test_median_heuristic_needs_two_rows():
@@ -408,10 +425,64 @@ def test_permuted_rows_permute_the_gram(d, m, n):
     assert np.array_equal(gram_matrix(Xs[rows], Xt, spec), cross[rows])
 
 
+def _fsum_of_gram(X, Y, spec) -> float:
+    return math.fsum(gram_matrix(X, Y, spec).ravel().tolist())
+
+
+def test_gram_sum_is_fsum_of_the_gram_over_random_shapes_and_gammas():
+    rng = np.random.default_rng(2008)
+    for _ in range(300):
+        m, n, d = rng.integers(1, 120), rng.integers(1, 120), rng.integers(1, 12)
+        # from near-constant to mostly underflowed entries, so every split
+        # and the fsum fallback are taken
+        spec = KernelSpec(gamma=float(np.exp(rng.uniform(-6.0, 4.0))))
+        X = rng.uniform(0.1, 3.0) * rng.standard_normal((m, d))
+        Y = rng.uniform(0.0, 2.0) + rng.standard_normal((n, d))
+        assert gram_sum(X, Y, spec) == _fsum_of_gram(X, Y, spec)
+
+
+@pytest.mark.parametrize("d", [1, 10, 128])
+@pytest.mark.parametrize("m, n", [(2000, 50), (777, 333), (9, 63)])
+def test_gram_sum_ignores_row_order_and_argument_order(d, m, n):
+    Xs, Xt = _split_sample(d, m, n)
+    spec = KernelSpec(gamma=0.5 / d)
+    expected = _fsum_of_gram(Xs, Xt, spec)
+    rng = np.random.default_rng(m * n)
+    assert gram_sum(Xs, Xt, spec) == expected
+    assert gram_sum(Xt, Xs, spec) == expected
+    assert gram_sum(Xs[rng.permutation(m)], Xt[rng.permutation(n)], spec) == expected
+
+
+def test_gram_sum_of_a_self_gram_pins_the_diagonal():
+    X = np.random.default_rng(3).standard_normal((300, 4))
+    spec = KernelSpec(gamma=0.3)
+    expected = _fsum_of_gram(X, None, spec)
+    assert gram_sum(X, None, spec) == expected
+    assert gram_sum(X, X.copy(), spec) == expected
+
+
+def test_gram_sum_caps_the_split_chunk_of_a_row_wider_than_it():
+    # one row block is one 70,001-entry row here, so the split runs on
+    # chunks of 2**16 entries and a remainder; the entries span every split
+    # and the fsum fallback
+    rng = np.random.default_rng(16)
+    Y = rng.uniform(0.0, 6.0, (70001, 1))
+    X = np.array([[0.0], [0.5], [3.0]])
+    assert next(kernels._row_blocks(3, 70008)) == (0, 1)
+    spec = KernelSpec(gamma=1.0)
+    assert gram_sum(X, Y, spec) == _fsum_of_gram(X, Y, spec)
+
+
+def test_gram_sum_rejects_overflowing_distances():
+    with pytest.raises(InputError, match="overflow"):
+        gram_sum([[1e160]], [[-1e160]], KernelSpec(gamma=0.5))
+
+
 _THREAD_DIGEST = """
 import hashlib
 import numpy as np
 from credal_cert import KernelSpec, gram_matrix, median_heuristic
+from credal_cert.kernels import gram_sum
 
 digest = hashlib.sha256()
 for d in (7, 10, 128):
@@ -425,6 +496,7 @@ for d in (7, 10, 128):
         gram_matrix(Xs, Xt, spec),
     ):
         digest.update(K.tobytes())
+    digest.update(repr(gram_sum(Xs, Xt, spec)).encode())
     digest.update(repr(median_heuristic(X).gamma).encode())
     digest.update(repr(median_heuristic(Xs, Xt).gamma).encode())
 print(digest.hexdigest())

@@ -26,8 +26,8 @@ from credal_cert import (
     permutation_calibrate,
 )
 from credal_cert import mmd
-from credal_cert.kernels import gram_matrix
-from credal_cert.mmd import _exact_sum, _u_statistic
+from credal_cert.kernels import _exact_partials, gram_matrix
+from credal_cert.mmd import _u_statistic
 
 TWO_POINT_MMD2 = 1.2642411176571153  # 2 - 2/e at unit distance, gamma 1
 WIDTH_200_200_05 = 0.19206455826398416
@@ -327,13 +327,19 @@ def test_calibration_does_not_depend_on_blas_threads():
 
 # ------------------------------------------------------------ exact cross sum
 
-# the edges of the exact three-part split and of the float64 range in [0, 1]
+# the edges of the exact two- and three-part splits and of the float64
+# range in [0, 1]
+TWO_PART_MIN = 2.0**-13
 SPLIT_MIN = 2.0**-30
 EDGE_VALUES = [
     0.0,
     1.0,
     5e-324,
     math.nextafter(1.0, 0.0),
+    TWO_PART_MIN,
+    math.nextafter(TWO_PART_MIN, 0.0),
+    math.nextafter(TWO_PART_MIN, 1.0),
+    2.0**-12,
     SPLIT_MIN,
     math.nextafter(SPLIT_MIN, 0.0),
     math.nextafter(SPLIT_MIN, 1.0),
@@ -345,6 +351,13 @@ UNIT_ELEMENTS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0))
 
 def _fsum_bits(a: np.ndarray) -> str:
     return math.fsum(a.ravel().tolist()).hex()
+
+
+def _exact_sum(a) -> float:
+    """The exact split-and-sum gram_sum applies to each finished row block."""
+    partials: list[float] = []
+    _exact_partials(np.ravel(a).copy(), partials)
+    return math.fsum(partials)
 
 
 @given(hnp.arrays(np.float64, st.integers(0, 400), elements=UNIT_ELEMENTS))
@@ -378,6 +391,52 @@ def test_exact_sum_transpose_and_permutation_invariant(K, seed):
     assert _exact_sum(K.T).hex() == expected
     shuffled = np.random.default_rng(seed).permutation(K.ravel())
     assert _exact_sum(shuffled).hex() == expected
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(0, 400),
+        elements=st.floats(TWO_PART_MIN, 2.0**-12, exclude_max=True),
+    )
+)
+def test_exact_sum_equals_fsum_in_the_lowest_two_part_binade(a):
+    # every entry takes the two-part split, and its low part's last bit is
+    # 2**-65, the finest the split keeps
+    assert _exact_sum(a).hex() == _fsum_bits(a)
+
+
+@pytest.mark.parametrize("edge", [TWO_PART_MIN, SPLIT_MIN])
+@pytest.mark.parametrize("size", [1000, 2**16])
+def test_exact_sum_chunks_straddling_a_split_edge(edge, size):
+    # one chunk whose entries all sit at or above the edge but one, which
+    # sits just below it, and the same chunk with that entry on the edge
+    rng = np.random.default_rng(size)
+    a = edge * (1.0 + rng.random(size))
+    a[rng.integers(0, size)] = math.nextafter(edge, 0.0)
+    expected = _fsum_bits(a)
+    assert _exact_sum(a).hex() == expected
+    assert _exact_sum(a[::-1]).hex() == expected
+    a[a < edge] = edge
+    assert _exact_sum(a).hex() == _fsum_bits(a)
+
+
+@pytest.mark.parametrize("binade", [-27, -20, -16, -14, -13, -12, -1])
+def test_exact_partials_sum_exactly_to_the_entries(binade):
+    # 2**16 entries in [2**binade, 2**(binade + 1)), each half a spacing of
+    # 2**-28 above a multiple of it, less a few of its own last places: every
+    # high part rounds down, so the low parts all sit near +2**-29 with their
+    # last bits set, and a chunk sum that drops a bit leaves a nonzero rest
+    rng = np.random.default_rng(-binade)
+    size = 1 << 16
+    m = rng.integers(2 ** (28 + binade), 2 ** (29 + binade), size)
+    k = 2 * rng.integers(0, 512, size) + 1
+    last_places = m * 2 ** (24 - binade) + 2 ** (23 - binade) - k
+    a = np.ldexp(last_places.astype(float), binade - 52)
+    assert a.min() >= 2.0**binade and a.max() < 2.0 ** (binade + 1)
+    partials: list[float] = []
+    _exact_partials(a.copy(), partials)
+    assert math.fsum(partials + (-a).tolist()) == 0.0
 
 
 def _edge_array(size: int, low_binade: bool) -> np.ndarray:
